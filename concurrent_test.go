@@ -1,110 +1,118 @@
 package egi_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
 	"egi"
 )
 
-// TestConcurrentStreamFanIn: many producers push into one detector; every
-// point lands (Total), events arrive on the channel in stream order, and
-// Flush closes the channel. Run under -race this also proves the locking.
+// collect subscribes to one stream id and gathers its events until the
+// subscription closes; wait blocks until then and returns them.
+func collect(m *egi.Manager, id string) (wait func() []egi.Anomaly) {
+	events, _ := m.Subscribe(id, 0)
+	var got []egi.Anomaly
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range events {
+			got = append(got, ev.Anomaly)
+		}
+	}()
+	return func() []egi.Anomaly { <-done; return got }
+}
+
+// TestConcurrentStreamFanIn: one stream id on a Manager is how many
+// producers share a detector. Eight producers push atomic batches into
+// it; every point lands, events arrive on the subscription in stream
+// order, CloseStream delivers the final events, and the stream stays
+// readable while producers run. Run under -race this also proves the
+// locking.
 func TestConcurrentStreamFanIn(t *testing.T) {
 	series := quickstartSeries()
 	const producers = 8
 
-	cs, err := egi.ConcurrentStream(egi.StreamOptions{
+	m, err := egi.NewManager(egi.ManagerOptions{Stream: egi.StreamOptions{
 		Window: 80,
 		BufLen: 800,
 		Seed:   42,
-	}, 0)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var events []egi.Anomaly
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for a := range cs.Events() {
-			events = append(events, a)
-		}
-	}()
+	wait := collect(m, "shared")
 
 	// Each producer pushes a contiguous slice as atomic batches, so the
 	// interleaving across producers is arbitrary but every point arrives.
 	var wg sync.WaitGroup
 	chunk := (len(series) + producers - 1) / producers
-	for p := 0; p < producers; p++ {
-		lo := p * chunk
-		hi := lo + chunk
-		if hi > len(series) {
-			hi = len(series)
-		}
+	for lo := 0; lo < len(series); lo += chunk {
 		wg.Add(1)
 		go func(xs []float64) {
 			defer wg.Done()
 			for len(xs) > 0 {
-				k := 16
-				if k > len(xs) {
-					k = len(xs)
-				}
-				if err := cs.PushBatch(xs[:k]); err != nil {
+				k := min(16, len(xs))
+				if err := m.PushBatch("shared", xs[:k]); err != nil {
 					t.Errorf("PushBatch: %v", err)
 					return
 				}
 				xs = xs[k:]
 			}
-		}(series[lo:hi])
+		}(series[lo:min(lo+chunk, len(series))])
 	}
 	wg.Wait()
-	if got := cs.Total(); got != len(series) {
-		t.Fatalf("Total = %d, want %d", got, len(series))
+	if st, err := m.StreamStats("shared"); err != nil || st.Points != int64(len(series)) {
+		t.Fatalf("StreamStats = %+v, %v; want %d points", st, err, len(series))
 	}
-	if err := cs.Flush(); err != nil {
+	if _, err := m.Anomalies("shared"); err != nil {
+		t.Fatalf("Anomalies while live: %v", err)
+	}
+	final, err := m.CloseStream("shared")
+	if err != nil || final.Points != int64(len(series)) {
+		t.Fatalf("CloseStream = %+v, %v; want %d points", final, err, len(series))
+	}
+	if _, err := m.StreamStats("shared"); !errors.Is(err, egi.ErrUnknownStream) {
+		t.Errorf("closed stream still visible: %v", err)
+	}
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
+	events := wait()
 
+	if final.Events == 0 || int64(len(events)) != final.Events {
+		t.Fatalf("%d events delivered, %d confirmed by CloseStream", len(events), final.Events)
+	}
 	for i := 1; i < len(events); i++ {
 		if events[i].Pos <= events[i-1].Pos {
 			t.Errorf("events out of stream order: %+v after %+v", events[i], events[i-1])
 		}
 	}
-	// Flush is idempotent; pushes after it fail.
-	if err := cs.Flush(); err != nil {
-		t.Fatalf("second Flush: %v", err)
-	}
-	if err := cs.Push(1); err == nil {
-		t.Error("Push after Flush should error")
-	}
-	if _, err := cs.Anomalies(); err != nil {
-		t.Errorf("Anomalies after Flush: %v", err)
-	}
 }
 
-// TestConcurrentStreamMatchesSequential: a single producer through the
-// concurrent wrapper is bit-identical to a plain Streamer — the wrapper
-// adds locking and a channel, not semantics.
+// TestConcurrentStreamMatchesSequential: a single producer through a
+// Manager stream id is bit-identical to a plain Streamer, including the
+// flush-on-close tail — sharing adds locking and a channel, not
+// semantics.
 func TestConcurrentStreamMatchesSequential(t *testing.T) {
 	series := quickstartSeries()
 	opts := egi.StreamOptions{Window: 80, BufLen: 800, Seed: 7}
 
-	cs, err := egi.ConcurrentStream(opts, len(series))
+	m, err := egi.NewManager(egi.ManagerOptions{Stream: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.PushBatch(series); err != nil {
+	wait := collect(m, "solo")
+	if err := m.PushBatch("solo", series); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.Flush(); err != nil {
+	if _, err := m.CloseStream("solo"); err != nil {
 		t.Fatal(err)
 	}
-	var concEvents []egi.Anomaly
-	for a := range cs.Events() {
-		concEvents = append(concEvents, a)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
+	concEvents := wait()
 
 	var seqEvents []egi.Anomaly
 	seqOpts := opts
@@ -120,8 +128,11 @@ func TestConcurrentStreamMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if len(seqEvents) == 0 {
+		t.Fatal("fixture produced no events; test is vacuous")
+	}
 	if len(concEvents) != len(seqEvents) {
-		t.Fatalf("%d events concurrent, %d sequential", len(concEvents), len(seqEvents))
+		t.Fatalf("%d events shared, %d sequential", len(concEvents), len(seqEvents))
 	}
 	for i := range concEvents {
 		if concEvents[i] != seqEvents[i] {
@@ -130,14 +141,18 @@ func TestConcurrentStreamMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentStreamRejectsCallback: OnAnomaly and the channel cannot
-// both be delivery paths.
+// TestConcurrentStreamRejectsCallback: OnAnomaly and the subscription
+// cannot both be delivery paths, on either constructor of a shared
+// stream.
 func TestConcurrentStreamRejectsCallback(t *testing.T) {
-	_, err := egi.ConcurrentStream(egi.StreamOptions{
+	opts := egi.ManagerOptions{Stream: egi.StreamOptions{
 		Window:    80,
 		OnAnomaly: func(egi.Anomaly) {},
-	}, 0)
-	if err == nil {
-		t.Fatal("OnAnomaly should be rejected")
+	}}
+	if _, err := egi.NewManager(opts); !errors.Is(err, egi.ErrManagerCallback) {
+		t.Errorf("NewManager: %v, want ErrManagerCallback", err)
+	}
+	if _, err := egi.NewShardedManager(3, opts); !errors.Is(err, egi.ErrManagerCallback) {
+		t.Errorf("NewShardedManager: %v, want ErrManagerCallback", err)
 	}
 }

@@ -43,59 +43,14 @@ type Candidate struct {
 // (except the start rule) covering tokens [s, e) is mapped back to the time
 // span [tokens[s].Pos, tokens[e-1].Pos + n - 1] — the union of the sliding
 // windows its tokens were produced from — and contributes one unit of
-// density to every point of that span. Accumulation uses a difference
-// array, so the cost is O(#occurrences + seriesLen).
+// density to every point of that span. It is WindowedDensityInto over the
+// whole series [0, seriesLen), so cost is O(#occurrences + seriesLen).
 func DensityCurve(g *sequitur.Grammar, tokens []sax.Token, seriesLen, n int) ([]float64, error) {
-	return DensityCurveInto(nil, g, tokens, seriesLen, n)
-}
-
-// DensityCurveInto is DensityCurve writing into dst, which is grown as
-// needed and returned re-sliced to seriesLen; pass a retained slice to
-// amortize the allocation across runs (the engine's hot path does). dst's
-// previous contents are discarded.
-func DensityCurveInto(dst []float64, g *sequitur.Grammar, tokens []sax.Token, seriesLen, n int) ([]float64, error) {
-	if len(tokens) == 0 {
-		return nil, ErrNoTokens
+	pos := make([]int, len(tokens))
+	for i, t := range tokens {
+		pos[i] = t.Pos
 	}
-	if n < 1 || n > seriesLen {
-		return nil, fmt.Errorf("%w: n=%d seriesLen=%d", ErrBadSeries, n, seriesLen)
-	}
-	// The first seriesLen+1 slots serve as the difference array; the curve
-	// is then integrated in place over the first seriesLen of them.
-	if cap(dst) < seriesLen+1 {
-		dst = make([]float64, seriesLen+1)
-	}
-	diff := dst[:seriesLen+1]
-	for i := range diff {
-		diff[i] = 0
-	}
-	var visitErr error
-	g.VisitOccurrences(func(rule, s, e int) {
-		if visitErr != nil {
-			return
-		}
-		if s < 0 || e > len(tokens) || s >= e {
-			visitErr = fmt.Errorf("%w: rule R%d tokens [%d,%d) of %d", ErrBadSpan, rule, s, e, len(tokens))
-			return
-		}
-		lo := tokens[s].Pos
-		hi := tokens[e-1].Pos + n // exclusive end of the last window
-		if hi > seriesLen {
-			hi = seriesLen
-		}
-		diff[lo]++
-		diff[hi]--
-	})
-	if visitErr != nil {
-		return nil, visitErr
-	}
-	curve := diff[:seriesLen]
-	acc := 0.0
-	for i := range curve {
-		acc += diff[i]
-		curve[i] = acc
-	}
-	return curve, nil
+	return WindowedDensityInto(nil, g, pos, 0, seriesLen, n)
 }
 
 // WindowScores converts a pointwise density curve into per-window scores:

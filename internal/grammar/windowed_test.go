@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"egi/internal/sax"
 	"egi/internal/sequitur"
 )
 
@@ -30,9 +29,10 @@ func randWords(rng *rand.Rand, startWin, count, alphabet int) ([]string, []int) 
 }
 
 // TestWindowedDensityAnchoredEqualsDensityCurve: with the history anchored
-// exactly at the span, WindowedDensityInto over the live builder reproduces
-// DensityCurveInto over the frozen grammar and span-local tokens, bit for
-// bit — the identity the engine's per-span (rebased) runs rely on.
+// exactly at the span, WindowedDensityInto over the live builder
+// reproduces the curve over the frozen grammar Induce builds from the same
+// words, bit for bit — the identity the engine's per-span (rebased) runs
+// rely on, and the batch DensityCurve's anchored case.
 func TestWindowedDensityAnchoredEqualsDensityCurve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
@@ -54,11 +54,7 @@ func TestWindowedDensityAnchoredEqualsDensityCurve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		local := make([]sax.Token, len(words))
-		for i := range words {
-			local[i] = sax.Token{Word: words[i], Pos: pos[i] - start}
-		}
-		want, err := DensityCurveInto(nil, g, local, end-start, n)
+		want, err := WindowedDensityInto(nil, g, pos, start, end, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +114,7 @@ func TestWindowedDensityRestrictsToSpan(t *testing.T) {
 }
 
 // TestWindowedDensityValidation: empty histories and malformed windows are
-// rejected like DensityCurveInto rejects them.
+// rejected.
 func TestWindowedDensityValidation(t *testing.T) {
 	b := sequitur.NewBuilder()
 	if _, err := WindowedDensityInto(nil, b, nil, 0, 100, 10); err == nil {

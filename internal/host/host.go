@@ -2,7 +2,11 @@
 // interface a stream-serving node exposes — everything internal/manager
 // provides to the public API and the HTTP server — so callers can run
 // against one Manager or a whole routed fleet of them without knowing
-// which. internal/router implements StreamHost over many member hosts;
+// which. Ingest crosses the seam through exactly two methods: OpenStream
+// (create, optionally with per-stream overrides) and PushBatchN (append a
+// batch, reporting the accepted prefix); a single point is a batch of
+// one, and conveniences such as egi.Manager.Push live above the seam.
+// internal/router implements StreamHost over many member hosts;
 // MigratableHost is the extra surface (export / import / release) a
 // member must provide for the router to move streams between members
 // live.
@@ -19,19 +23,14 @@ import (
 // serving tier (the public egi API, egiserve, the quality and chaos
 // harnesses) programs against this interface.
 type StreamHost interface {
-	// Open creates the stream if it does not exist yet; idempotent.
-	Open(id string) error
-	// OpenStream is Open with per-stream setting overrides, failing with
-	// manager.ErrStreamConfig when the stream exists with different
-	// effective settings.
+	// OpenStream creates the stream if it does not exist yet, with
+	// per-stream setting overrides (zero Overrides: the template).
+	// Idempotent for equal effective settings; fails with
+	// manager.ErrStreamConfig when the stream exists with different ones.
 	OpenStream(id string, ov manager.Overrides) error
-	// Push appends one point to the stream, creating it on first use.
-	Push(id string, x float64) error
-	// PushBatch appends the points, in order, creating the stream on
-	// first use.
-	PushBatch(id string, xs []float64) error
-	// PushBatchN is PushBatch reporting how many points were accepted
-	// before any error.
+	// PushBatchN appends the points, in order, creating the stream on
+	// first use, and reports how many were accepted before any error. A
+	// single point is a batch of one.
 	PushBatchN(id string, xs []float64) (int, error)
 	// Anomalies returns the stream's current top-K ranking.
 	Anomalies(id string) ([]stream.Event, error)

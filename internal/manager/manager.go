@@ -10,7 +10,8 @@
 // its own RWMutex. The ingest hot path — look up an entry, push under its
 // lock — therefore takes only a shard read lock plus the per-stream lock,
 // so producers for different streams never contend on a global mutex, and
-// producers for one stream serialize exactly like egi.ConcurrentStream.
+// producers for one stream serialize on it: sharing one stream id across
+// goroutines is the supported way to fan many producers into one detector.
 // Structural changes (creating a stream, evicting, closing) serialize on a
 // single createMu so limit admission stays atomic; the lock hierarchy is
 // createMu → shard.mu → entry.mu, and no hot-path operation ever takes
@@ -264,6 +265,14 @@ type Manager struct {
 	createMu sync.Mutex
 	closed   atomic.Bool
 
+	// retiring counts detached entries whose retirement (flush or
+	// hibernate, then drain — or release) has not finished. Close waits
+	// for it before closing the broker, so a stream detached by a racing
+	// EvictIdle, CloseStream or budget eviction still delivers its final
+	// events. Add runs in detach under createMu while the manager is open
+	// (or inside Close itself), so every Add happens before Close's Wait.
+	retiring sync.WaitGroup
+
 	count            atomic.Int64 // live streams across all shards
 	totalBytes       atomic.Int64
 	evicted          atomic.Int64
@@ -338,13 +347,6 @@ func New(cfg Config) (*Manager, error) {
 		}
 	}
 	return m, nil
-}
-
-// Open creates the stream if it does not exist yet, applying the
-// MaxStreams limit (evicting an idle stream if necessary). It is
-// idempotent: opening an existing stream is a no-op.
-func (m *Manager) Open(id string) error {
-	return m.OpenStream(id, Overrides{})
 }
 
 // get looks up (and under create, makes) the entry for id. The lookup is
@@ -432,27 +434,14 @@ func (m *Manager) create(id string, sh *shard, ov Overrides) (*entry, []*entry, 
 	return e, evicted, nil
 }
 
-// Push appends one point to the stream, creating it on first use.
-func (m *Manager) Push(id string, x float64) error {
-	return m.PushBatch(id, []float64{x})
-}
-
-// PushBatch appends the points, in order, to the stream, creating it on
-// first use; no other producer's points interleave with the batch. Limit
-// errors (ErrTooManyStreams, ErrOverBudget) reject the batch without
-// corrupting anything; detector errors (e.g. a non-finite point) reject
-// the remainder of the batch, with everything before the bad point
-// accepted, exactly like Streamer.PushBatch.
-func (m *Manager) PushBatch(id string, xs []float64) error {
-	_, err := m.PushBatchN(id, xs)
-	return err
-}
-
-// PushBatchN is PushBatch reporting how many points were accepted —
-// applied to the stream (and write-ahead logged, when the manager is
-// durable) before any error. On success that is len(xs); on a detector
-// error it is the index of the offending point, so a client can resend
-// exactly the unapplied remainder.
+// PushBatchN appends the points, in order, to the stream, creating it on
+// first use; no other producer's points interleave with the batch. It
+// reports how many points were accepted — applied to the stream (and
+// write-ahead logged, when the manager is durable) before any error. Limit
+// errors (ErrTooManyStreams, ErrOverBudget) reject the batch outright
+// without corrupting anything; a detector error (e.g. a non-finite point)
+// rejects the remainder, and the count is then the index of the offending
+// point, so a client can resend exactly the unapplied remainder.
 func (m *Manager) PushBatchN(id string, xs []float64) (int, error) {
 	// A stream can be evicted between lookup and lock; recreating it and
 	// retrying is correct (the eviction already delivered everything the
@@ -602,8 +591,10 @@ func (m *Manager) evictLRU() *entry {
 // and the accounting. It is deliberately cheap — the expensive flush
 // happens in retire, outside all table locks, so evicting or closing one
 // stream never stalls the others' ingest. Callers hold createMu, which is
-// what prevents two detaches of the same entry.
+// what prevents two detaches of the same entry, and must call
+// m.retiring.Done once the entry is retired.
 func (m *Manager) detach(e *entry) {
+	m.retiring.Add(1)
 	e.mu.Lock()
 	e.closed = true
 	// A detached entry no longer counts toward the manager's health
@@ -641,6 +632,7 @@ func (m *Manager) retire(entries []*entry) {
 			m.flush(e)
 		}
 		m.drain(e)
+		m.retiring.Done()
 	}
 }
 
@@ -663,8 +655,9 @@ func (m *Manager) flush(e *entry) {
 }
 
 // drain publishes the entry's pending events to the broker, preserving
-// stream order (the same swap-under-lock, publish-outside-lock discipline
-// as egi.ConcurrentStream).
+// stream order: pending is swapped out under e.mu (so a full subscriber
+// channel never wedges the detector) and published under sendMu (so racing
+// drainers of one stream deliver in FIFO order).
 func (m *Manager) drain(e *entry) {
 	e.sendMu.Lock()
 	defer e.sendMu.Unlock()
@@ -701,6 +694,7 @@ func (m *Manager) CloseStream(id string) (StreamStats, error) {
 	}
 	m.detach(e)
 	m.createMu.Unlock()
+	defer m.retiring.Done()
 	m.flush(e)
 	e.mu.Lock()
 	if e.log != nil {
@@ -860,6 +854,9 @@ func (m *Manager) Close() error {
 	}
 	m.createMu.Unlock()
 	m.retire(entries)
+	// Entries detached before closed was set may still be retiring in
+	// other goroutines; their final events must reach the broker first.
+	m.retiring.Wait()
 	if m.cfg.Events == nil {
 		// A shared broker (Config.Events) outlives this manager; its
 		// owner closes it after every sharing manager is down.

@@ -110,7 +110,7 @@ func TestEventsMatchDirectDetector(t *testing.T) {
 		id := fmt.Sprintf("s%d", i)
 		series := sineSeries(2000, 40, int64(100+i), 700+40*i, 1500)
 		want[id] = directEvents(t, cfg, series, true)
-		if err := m.PushBatch(id, series); err != nil {
+		if _, err := m.PushBatchN(id, series); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestEvictionLosesNoConfirmedEvents(t *testing.T) {
 	// Cut mid-hop: 2.5 buffers plus a third of a hop.
 	series := sineSeries(3*320, 40, 7, 400, 600)
 	cut := 2*320 + 160 + 93
-	if err := m.PushBatch("victim", series[:cut]); err != nil {
+	if _, err := m.PushBatchN("victim", series[:cut]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,26 +204,26 @@ func TestMaxStreamsRejectsWithoutIdle(t *testing.T) {
 	// Advance the clock between pushes so every stream has a distinct
 	// last-push time ("b" becomes the LRU one below).
 	series := sineSeries(400, 40, 3)
-	if err := m.PushBatch("b", series); err != nil {
+	if _, err := m.PushBatchN("b", series); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
-	if err := m.PushBatch("a", series); err != nil {
+	if _, err := m.PushBatchN("a", series); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(time.Second)
-	if err := m.Push("c", 1.0); !errors.Is(err, ErrTooManyStreams) {
+	if _, err := m.PushBatchN("c", []float64{1.0}); !errors.Is(err, ErrTooManyStreams) {
 		t.Fatalf("third stream: err = %v, want ErrTooManyStreams", err)
 	}
 	// The rejected id left no trace, and the live streams still accept.
 	if _, err := m.StreamStats("c"); !errors.Is(err, ErrUnknownStream) {
 		t.Fatalf("rejected stream exists: %v", err)
 	}
-	if err := m.PushBatch("a", series); err != nil {
+	if _, err := m.PushBatchN("a", series); err != nil {
 		t.Fatalf("live stream corrupted by rejected open: %v", err)
 	}
 	clk.Advance(2 * time.Minute)
-	if err := m.Push("c", 1.0); err != nil {
+	if _, err := m.PushBatchN("c", []float64{1.0}); err != nil {
 		t.Fatalf("open after idle: %v", err)
 	}
 	if _, err := m.StreamStats("b"); !errors.Is(err, ErrUnknownStream) {
@@ -249,7 +249,7 @@ func TestMaxBytesRejectsAndEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.PushBatch("p", series); err != nil {
+	if _, err := probe.PushBatchN("p", series); err != nil {
 		t.Fatal(err)
 	}
 	budget := probe.TotalBytes() + probe.TotalBytes()/2
@@ -261,14 +261,14 @@ func TestMaxBytesRejectsAndEvicts(t *testing.T) {
 	}
 	defer m.Close()
 
-	if err := m.PushBatch("a", series); err != nil {
+	if _, err := m.PushBatchN("a", series); err != nil {
 		t.Fatal(err)
 	}
 	// Warm "b" to the point where the pair exceeds the budget; the push
 	// that crosses is rejected (a is not idle), with nothing corrupted.
 	var rejected bool
 	for i := 0; i < len(series); i += 100 {
-		err := m.PushBatch("b", series[i:i+100])
+		_, err := m.PushBatchN("b", series[i:i+100])
 		if errors.Is(err, ErrOverBudget) {
 			rejected = true
 			break
@@ -287,7 +287,7 @@ func TestMaxBytesRejectsAndEvicts(t *testing.T) {
 
 	// Let "a" go idle: the next over-budget push evicts it and succeeds.
 	clk.Advance(2 * time.Minute)
-	if err := m.PushBatch("b", series[:100]); err != nil {
+	if _, err := m.PushBatchN("b", series[:100]); err != nil {
 		t.Fatalf("push after idle eviction: %v", err)
 	}
 	if _, err := m.StreamStats("a"); !errors.Is(err, ErrUnknownStream) {
@@ -311,7 +311,7 @@ func TestConcurrentCreationRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := probe.Push("p", 1); err != nil {
+	if _, err := probe.PushBatchN("p", []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	one := probe.TotalBytes()
@@ -330,7 +330,7 @@ func TestConcurrentCreationRespectsBudget(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			err := m.Push(fmt.Sprintf("s%d", g), 1)
+			_, err := m.PushBatchN(fmt.Sprintf("s%d", g), []float64{1})
 			switch {
 			case err == nil:
 				admitted.Add(1)
@@ -365,7 +365,7 @@ func TestAccountingConsistency(t *testing.T) {
 	defer m.Close()
 	for i := 0; i < 4; i++ {
 		id := fmt.Sprintf("s%d", i)
-		if err := m.PushBatch(id, sineSeries(500+137*i, 40, int64(i))); err != nil {
+		if _, err := m.PushBatchN(id, sineSeries(500+137*i, 40, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -407,10 +407,10 @@ func TestSubscribeFilter(t *testing.T) {
 
 	seriesA := sineSeries(2000, 40, 101, 740, 1500)
 	seriesB := sineSeries(2000, 40, 102, 780, 1500)
-	if err := m.PushBatch("a", seriesA); err != nil {
+	if _, err := m.PushBatchN("a", seriesA); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PushBatch("b", seriesB); err != nil {
+	if _, err := m.PushBatchN("b", seriesB); err != nil {
 		t.Fatal(err)
 	}
 	m.Close()
@@ -466,7 +466,7 @@ func TestConcurrentPushers(t *testing.T) {
 			id := fmt.Sprintf("s%d", g%4) // four streams, two producers each
 			series := sineSeries(1200, 40, int64(g%4), 600)
 			for i := 0; i < len(series); i += 60 {
-				if err := m.PushBatch(id, series[i:i+60]); err != nil {
+				if _, err := m.PushBatchN(id, series[i:i+60]); err != nil {
 					t.Errorf("%s: %v", id, err)
 					return
 				}
@@ -497,10 +497,10 @@ func TestClosedManager(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := m.Push("x", 1); !errors.Is(err, ErrManagerClosed) {
+	if _, err := m.PushBatchN("x", []float64{1}); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("Push after Close: %v", err)
 	}
-	if err := m.Open("x"); !errors.Is(err, ErrManagerClosed) {
+	if err := m.OpenStream("x", Overrides{}); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("Open after Close: %v", err)
 	}
 	if _, err := m.CloseStream("x"); !errors.Is(err, ErrManagerClosed) {
@@ -528,5 +528,72 @@ func TestBadConfig(t *testing.T) {
 	cfg.OnEvent = func(stream.Event) {}
 	if _, err := New(Config{Stream: cfg}); err == nil {
 		t.Fatal("template with OnEvent accepted")
+	}
+}
+
+// TestCloseWaitsForRacingEviction: EvictIdle detaches streams under
+// createMu but flushes and drains them after releasing it, so a Close
+// that runs in between must still let those flushed tail events reach
+// subscribers before it closes the broker. The subscriber is held back
+// until Close has had ample time to finish, so an early broker close
+// would abandon the blocked deliveries.
+func TestCloseWaitsForRacingEviction(t *testing.T) {
+	cfg := testStreamConfig()
+	clk := &fakeClock{}
+	m, err := New(Config{Stream: cfg, IdleAfter: time.Minute, Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]stream.Event{}
+	tails := 0
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("s%d", i)
+		series := sineSeries(1000, 40, int64(1+i), 800)
+		if _, err := m.PushBatchN(id, series); err != nil {
+			t.Fatal(err)
+		}
+		pushed := len(directEvents(t, cfg, series, false))
+		want[id] = directEvents(t, cfg, series, true)[pushed:]
+		tails += len(want[id])
+	}
+	if tails < 2 {
+		t.Fatalf("fixtures flush %d tail events; need at least 2 to fill the subscription", tails)
+	}
+
+	// Subscribed after the pushes, so only the flush tails are delivered.
+	ch, cancel := m.Subscribe("", 1)
+	defer cancel()
+	release := make(chan struct{})
+	got := map[string][]stream.Event{}
+	received := make(chan struct{})
+	go func() {
+		defer close(received)
+		<-release
+		for ev := range ch {
+			got[ev.Stream] = append(got[ev.Stream], ev.Anomaly)
+		}
+	}()
+
+	clk.Advance(time.Hour)
+	evicted := make(chan []StreamStats, 1)
+	go func() { evicted <- m.EvictIdle() }()
+	for m.Len() > 0 { // every stream detached; their retirement is pending
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- m.Close() }()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(<-evicted); n != 3 {
+		t.Fatalf("EvictIdle evicted %d streams, want 3", n)
+	}
+	<-received
+	for id, w := range want {
+		if !eventsEqual(got[id], w) {
+			t.Fatalf("%s: delivered flush tail %+v, want %+v", id, got[id], w)
+		}
 	}
 }

@@ -292,6 +292,7 @@ func (m *Manager) ReleaseStream(id string) error {
 	}
 	m.createMu.Unlock()
 	if e != nil {
+		defer m.retiring.Done()
 		e.mu.Lock()
 		if e.log != nil {
 			// No checkpoint: the target owns the state now, and this

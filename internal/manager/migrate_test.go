@@ -15,7 +15,7 @@ func TestStatsSortedByID(t *testing.T) {
 	}
 	defer m.Close()
 	for _, id := range []string{"c", "a", "delta", "b"} {
-		if err := m.Open(id); err != nil {
+		if err := m.OpenStream(id, Overrides{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestOpenStreamOverrides(t *testing.T) {
 	if err := m.OpenStream("s", Overrides{Threshold: 0.5}); err != nil {
 		t.Fatalf("idempotent reopen: %v", err)
 	}
-	if err := m.Open("s"); err != nil {
+	if err := m.OpenStream("s", Overrides{}); err != nil {
 		t.Fatalf("zero-override open of an overridden stream: %v", err)
 	}
 	if err := m.OpenStream("s", Overrides{Threshold: 0.4}); !errors.Is(err, ErrStreamConfig) {
@@ -59,7 +59,7 @@ func TestOpenStreamOverrides(t *testing.T) {
 
 	// A template-created stream accepts an explicit spelling of the
 	// template's effective settings: equality is on effective values.
-	if err := m.Open("t"); err != nil {
+	if err := m.OpenStream("t", Overrides{}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := testStreamConfig().Normalized()

@@ -125,14 +125,14 @@ func overridesConflict(id string, want, have Overrides) error {
 		want.Window, want.BufLen, want.Hop, want.Threshold, want.RebaseEvery)
 }
 
-// OpenStream is Open with per-stream setting overrides: the stream is
-// created running with the template plus the set override fields, and
-// the effective settings are pinned — they survive hibernation,
-// restarts, and migration between shards (persisted in the snapshot
-// meta). Opening an existing stream with the same effective settings is
-// an idempotent no-op, like Open; opening one whose settings differ
-// fails with ErrStreamConfig and leaves the stream untouched. A zero
-// Overrides makes OpenStream identical to Open.
+// OpenStream creates the stream if it does not exist yet, applying the
+// MaxStreams limit (evicting an idle stream if necessary). It runs with
+// the template plus the set override fields — a zero Overrides is the
+// template — and the effective settings are pinned: they survive
+// hibernation, restarts, and migration between shards (persisted in the
+// snapshot meta). Opening an existing stream with the same effective
+// settings is an idempotent no-op; opening one whose settings differ
+// fails with ErrStreamConfig and leaves the stream untouched.
 func (m *Manager) OpenStream(id string, ov Overrides) error {
 	_, evicted, err := m.get(id, true, ov)
 	m.retire(evicted)

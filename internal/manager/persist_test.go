@@ -153,7 +153,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		// Reference: never crashed.
 		refDir := t.TempDir()
 		ref, refC := openDurable(t, refDir, snapEvery)
-		if err := ref.PushBatch(id, series); err != nil {
+		if _, err := ref.PushBatchN(id, series); err != nil {
 			t.Fatal(err)
 		}
 		refAnoms, err := ref.Anomalies(id)
@@ -254,7 +254,7 @@ func TestRestartResumesStreams(t *testing.T) {
 
 	m, c := openDurable(t, dir, 300)
 	for _, idx := range []string{"a", "b"} {
-		if err := m.PushBatch(idx, series[:1200]); err != nil {
+		if _, err := m.PushBatchN(idx, series[:1200]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,7 +286,7 @@ func TestRestartResumesStreams(t *testing.T) {
 		t.Fatalf("recovered Created = %v, want %v", st.Created, stBefore.Created)
 	}
 	for _, idx := range []string{"a", "b"} {
-		if err := m2.PushBatch(idx, series[1200:]); err != nil {
+		if _, err := m2.PushBatchN(idx, series[1200:]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -344,7 +344,7 @@ func TestEvictionHibernatesDurableStreams(t *testing.T) {
 	}()
 
 	series := sineSeries(2000, 40, 5, 600, 1500)
-	if err := m.PushBatch("s", series[:900]); err != nil {
+	if _, err := m.PushBatchN("s", series[:900]); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(2 * time.Minute)
@@ -355,7 +355,7 @@ func TestEvictionHibernatesDurableStreams(t *testing.T) {
 		t.Fatalf("%d live streams after eviction", m.Len())
 	}
 	// Push resumes the hibernated stream from disk.
-	if err := m.PushBatch("s", series[900:]); err != nil {
+	if _, err := m.PushBatchN("s", series[900:]); err != nil {
 		t.Fatal(err)
 	}
 	st, err := m.StreamStats("s")
@@ -389,7 +389,7 @@ func TestCloseStreamDeletesPersistedState(t *testing.T) {
 	dir := t.TempDir()
 	m, _ := openDurable(t, dir, 100)
 	defer m.Close()
-	if err := m.PushBatch("gone", sineSeries(500, 40, 1)); err != nil {
+	if _, err := m.PushBatchN("gone", sineSeries(500, 40, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.CloseStream("gone"); err != nil {
@@ -402,7 +402,7 @@ func TestCloseStreamDeletesPersistedState(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("data dir still holds %d entries after CloseStream", len(ents))
 	}
-	if err := m.Push("gone", 1.0); err != nil {
+	if _, err := m.PushBatchN("gone", []float64{1.0}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := m.StreamStats("gone")
@@ -421,13 +421,13 @@ func TestSnapshotAndReplay(t *testing.T) {
 	dir := t.TempDir()
 	m, c := openDurable(t, dir, 1<<20) // cadence effectively off; checkpoints are manual
 	series := sineSeries(2000, 40, 7, 600, 1500)
-	if err := m.PushBatch("s", series[:700]); err != nil {
+	if _, err := m.PushBatchN("s", series[:700]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.SnapshotStream("s"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PushBatch("s", series[700:]); err != nil {
+	if _, err := m.PushBatchN("s", series[700:]); err != nil {
 		t.Fatal(err)
 	}
 

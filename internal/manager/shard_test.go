@@ -61,7 +61,7 @@ func TestManagerBatchBitIdenticalToPush(t *testing.T) {
 				batch := series[off : off+n]
 				na, errA := 0, error(nil)
 				for i, x := range batch {
-					if errA = mA.Push(id, x); errA != nil {
+					if _, errA = mA.PushBatchN(id, []float64{x}); errA != nil {
 						break
 					}
 					na = i + 1
@@ -251,7 +251,7 @@ func TestStatsDoNotBlockIngest(t *testing.T) {
 	}
 	defer m.Close()
 	const id = "live"
-	if err := m.Open(id); err != nil {
+	if err := m.OpenStream(id, Overrides{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -259,7 +259,10 @@ func TestStatsDoNotBlockIngest(t *testing.T) {
 	defer m.createMu.Unlock()
 
 	done := make(chan error, 2)
-	go func() { done <- m.Push(id, 0.5) }()
+	go func() {
+		_, err := m.PushBatchN(id, []float64{0.5})
+		done <- err
+	}()
 	go func() {
 		if s := m.Stats(); len(s.Streams) != 1 {
 			done <- fmt.Errorf("stats saw %d streams, want 1", len(s.Streams))

@@ -76,13 +76,15 @@ func (r *Router) Resize(n int) error {
 		}
 		r.members = append(r.members, added...)
 	} else {
+		// The survivors are r.members[:n]; at least one of them must
+		// already be live (members drained earlier may sit anywhere).
 		live := 0
-		for _, m := range r.members {
+		for _, m := range r.members[:n] {
 			if !m.draining {
 				live++
 			}
 		}
-		if live-(cur-n) < 1 {
+		if live < 1 {
 			r.mu.Unlock()
 			return fmt.Errorf("%w: resize to %d would drain every live member", ErrNoMembers, n)
 		}
@@ -90,20 +92,14 @@ func (r *Router) Resize(n int) error {
 			m.draining = true
 		}
 	}
-	r.version.Add(1)
-	r.planMovesLocked() // install pins atomically with the table change
-	prior := make([]*member, len(r.members))
-	copy(prior, r.members)
-	r.mu.Unlock()
-
 	// Wait out operations routed under the old table — an in-flight push
-	// can still create a stream on the owner it resolved before the
-	// change — then replan to catch whatever they left behind, and
-	// migrate everything in one pass.
-	for _, m := range prior {
+	// can still create a stream on the owner it resolved — while r.mu
+	// keeps new ones from routing, then install the pins atomically with
+	// the table change, so no stream is ever reachable at two owners.
+	for _, m := range r.members {
 		m.quiesce()
 	}
-	r.mu.Lock()
+	r.version.Add(1)
 	moves := r.planMovesLocked()
 	r.mu.Unlock()
 
@@ -191,14 +187,10 @@ func (r *Router) Drain(name string) error {
 		target.draining = true
 		r.version.Add(1)
 	}
-	r.planMovesLocked() // install pins atomically with the table change
-	r.mu.Unlock()
-
 	// Wait out calls routed while the member was still eligible — an
-	// in-flight push can still create a stream on it — then replan so
-	// those streams are moved too.
+	// in-flight push can still create a stream on it — before planning,
+	// as Resize does.
 	target.quiesce()
-	r.mu.Lock()
 	moves := r.planMovesLocked()
 	r.mu.Unlock()
 

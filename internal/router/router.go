@@ -17,6 +17,14 @@
 // single atomic checkpoint is the commit point — and the source copy is
 // released. A fault anywhere before the commit leaves the stream intact
 // on the source, still pinned there; acknowledged points are never lost.
+//
+// Lock hierarchy: adminMu → stream latch → r.mu → member gate → the
+// member's own locks, always in that order. A routed call takes its
+// stream latch shared, then resolves its member under r.mu shared and
+// enters the member's gate before releasing r.mu; it never takes r.mu
+// again while inside the gate. Resize and Drain (under adminMu) raise
+// the gate barrier while holding r.mu exclusively, and a migration
+// takes r.mu only inside its exclusive stream latch.
 package router
 
 import (
@@ -77,12 +85,15 @@ type member struct {
 	// wait out calls that routed under the previous placement table —
 	// without it, an in-flight push could create a stream on a member
 	// after its streams were planned (or worse, after it was emptied and
-	// is about to close), silently stranding acknowledged points.
+	// is about to close), silently stranding acknowledged points. A call
+	// holding the gate never takes r.mu, so the barrier may be raised
+	// with r.mu held.
 	gate sync.RWMutex
 }
 
 // quiesce returns once every operation routed to m before the call has
-// finished. Callers must not hold r.mu.
+// finished. With r.mu held exclusively no new operation can route to m
+// meanwhile, so m is then idle until r.mu is released.
 func (m *member) quiesce() {
 	m.gate.Lock()
 	//lint:ignore SA2001 empty critical section is the barrier
@@ -287,30 +298,15 @@ func (r *Router) reconcile() {
 	}
 }
 
-// Open creates the stream on its placed member if it does not exist yet;
-// idempotent.
-func (r *Router) Open(id string) error {
-	return r.withStream(id, func(h host.MigratableHost) error { return h.Open(id) })
-}
-
-// OpenStream is Open with per-stream setting overrides; the pinned
-// settings migrate with the stream.
+// OpenStream creates the stream on its placed member if it does not exist
+// yet, with per-stream setting overrides; idempotent for equal effective
+// settings. The pinned settings migrate with the stream.
 func (r *Router) OpenStream(id string, ov manager.Overrides) error {
 	return r.withStream(id, func(h host.MigratableHost) error { return h.OpenStream(id, ov) })
 }
 
-// Push appends one point to the stream on its placed member.
-func (r *Router) Push(id string, x float64) error {
-	return r.withStream(id, func(h host.MigratableHost) error { return h.Push(id, x) })
-}
-
-// PushBatch appends the points, in order, on the stream's placed member.
-func (r *Router) PushBatch(id string, xs []float64) error {
-	return r.withStream(id, func(h host.MigratableHost) error { return h.PushBatch(id, xs) })
-}
-
-// PushBatchN is PushBatch reporting how many points were accepted before
-// any error.
+// PushBatchN appends the points, in order, on the stream's placed member,
+// reporting how many were accepted before any error.
 func (r *Router) PushBatchN(id string, xs []float64) (n int, err error) {
 	err = r.withStream(id, func(h host.MigratableHost) error {
 		n, err = h.PushBatchN(id, xs)
@@ -369,16 +365,27 @@ func (r *Router) shardOf(id string) string {
 
 // CloseStream terminally closes the stream on its placed member and
 // drops any pin it held.
-func (r *Router) CloseStream(id string) (st manager.StreamStats, err error) {
-	err = r.withStream(id, func(h host.MigratableHost) error {
-		st, err = h.CloseStream(id)
-		if err == nil {
-			r.mu.Lock()
-			delete(r.pins, id)
-			r.mu.Unlock()
-		}
-		return err
-	})
+func (r *Router) CloseStream(id string) (manager.StreamStats, error) {
+	l := r.latches.acquire(id)
+	l.RLock()
+	defer func() {
+		l.RUnlock()
+		r.latches.release(id, l)
+	}()
+	m, err := r.route(id)
+	if err != nil {
+		return manager.StreamStats{}, err
+	}
+	st, err := m.h.CloseStream(id)
+	// Release the member gate before taking r.mu: route takes the gate
+	// while holding r.mu, so r.mu taken under the gate deadlocks against
+	// a quiesce waiting on that gate. The stream latch is still held.
+	m.gate.RUnlock()
+	if err == nil {
+		r.mu.Lock()
+		delete(r.pins, id)
+		r.mu.Unlock()
+	}
 	return st, err
 }
 

@@ -233,8 +233,9 @@ func (c Config) engineConfig() engine.Config {
 }
 
 // Detector is a streaming anomaly detector. It is not safe for concurrent
-// use; wrap it in a mutex (egi.ConcurrentStream does) or give each
-// goroutine its own.
+// use; share it through a manager stream id (internal/manager serializes
+// each stream's detector under its own lock) or give each goroutine its
+// own.
 type Detector struct {
 	cfg Config
 

@@ -81,6 +81,10 @@ var (
 	ErrStreamConfig = manager.ErrStreamConfig
 )
 
+// defaultEventBuffer is the subscription capacity Subscribe uses when
+// given buf <= 0.
+const defaultEventBuffer = 256
+
 // ErrManagerCallback is returned by NewManager when the stream template
 // sets OnAnomaly: a Manager owns event delivery, so events arrive through
 // Manager.Subscribe instead of a callback.
@@ -176,7 +180,12 @@ type ManagerStats struct {
 // cmd/egiserve exposes over HTTP. Streams are created implicitly on first
 // push (or explicitly with Open), each behind its own lock, so producers
 // for different streams never contend and producers for one stream
-// serialize exactly like ConcurrentStream. Memory is governed end to end:
+// serialize on its lock. That makes one stream id the way to share a
+// detector across goroutines: each batch lands atomically, in lock order;
+// Subscribe(id, buf) delivers the stream's events in order with
+// backpressure; CloseStream flushes and delivers the final events; and
+// StreamStats and Anomalies read it while producers run. Memory is
+// governed end to end:
 // every stream's MemoryFootprint (ring + member pipelines + resumable
 // grammars + stitch buffers, all bounded) is rolled up after each push,
 // and the MaxStreams / MaxBytes limits combined with LRU idle eviction
@@ -270,17 +279,23 @@ func (m *Manager) OpenWith(id string, ov StreamOverrides) error {
 // Open creates the stream if it does not exist yet, applying the
 // MaxStreams limit (evicting an idle stream if necessary). It is
 // idempotent: opening an existing stream is a no-op.
-func (m *Manager) Open(id string) error { return m.h.Open(id) }
+func (m *Manager) Open(id string) error { return m.h.OpenStream(id, manager.Overrides{}) }
 
 // Push appends one point to the stream, creating it on first use.
-func (m *Manager) Push(id string, x float64) error { return m.h.Push(id, x) }
+func (m *Manager) Push(id string, x float64) error {
+	_, err := m.h.PushBatchN(id, []float64{x})
+	return err
+}
 
 // PushBatch appends the points, in order, to the stream, creating it on
 // first use; no other producer's points interleave with the batch. Limit
 // errors (ErrTooManyStreams, ErrOverBudget) reject the batch outright;
 // detector errors (e.g. a non-finite point) reject the remainder, with
 // everything before the bad point accepted, like Streamer.PushBatch.
-func (m *Manager) PushBatch(id string, xs []float64) error { return m.h.PushBatch(id, xs) }
+func (m *Manager) PushBatch(id string, xs []float64) error {
+	_, err := m.h.PushBatchN(id, xs)
+	return err
+}
 
 // PushBatchN is PushBatch reporting how many points were accepted —
 // applied to the stream (and write-ahead logged when DataDir is set)
@@ -309,8 +324,8 @@ func (m *Manager) ReplayStream(id string, fn func(hop int, a Anomaly) error) (in
 
 // Subscribe registers for confirmed anomaly events — one stream's, or
 // every stream's with id "". Events arrive in per-stream order on a
-// channel buffering about buf events (minimum 1; <= 0 selects
-// DefaultEventBuffer). A full channel applies backpressure to every
+// channel buffering about buf events (minimum 1; <= 0 selects 256). A
+// full channel applies backpressure to every
 // stream matching the subscription's filter — it blocks their delivery
 // rather than dropping events — so keep receiving until you cancel.
 // Other subscriptions and non-matching streams are unaffected. The
@@ -319,7 +334,7 @@ func (m *Manager) ReplayStream(id string, fn func(hop int, a Anomaly) error) (in
 // reading.
 func (m *Manager) Subscribe(id string, buf int) (<-chan StreamEvent, func()) {
 	if buf <= 0 {
-		buf = DefaultEventBuffer
+		buf = defaultEventBuffer
 	}
 	in, cancelIn := m.h.Subscribe(id, buf)
 	// The converter stage adds no meaningful capacity: the documented
