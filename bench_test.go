@@ -344,9 +344,19 @@ func BenchmarkSec75MultiAnomaly(b *testing.B) {
 // BenchmarkDetect measures the end-to-end batch detector on one fixed
 // series: the headline "linear in the series length" cost per point. The
 // CI benchmark job tracks it (with -benchmem) alongside BenchmarkStreamPush
-// as the batch/stream pair over the shared engine.
+// as the batch/stream pair over the shared engine. The paper-size case is
+// whole-series Detect at the paper's defaults (N=50, window 200) on a
+// 50k-point synthetic ECG, the shape of the repo benchmark's batch_paper
+// workload.
 func BenchmarkDetect(b *testing.B) {
 	const window = 100
+	run := func(b *testing.B, series []float64, opts egi.Options) {
+		for i := 0; i < b.N; i++ {
+			if _, err := egi.Detect(series, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, length := range []int{2000, 8000} {
 		b.Run(fmt.Sprintf("n=%d", length), func(b *testing.B) {
 			series := make([]float64, length)
@@ -354,15 +364,18 @@ func BenchmarkDetect(b *testing.B) {
 				series[i] = math.Sin(2*math.Pi*float64(i)/window) +
 					0.3*math.Sin(float64(i)*0.7391)
 			}
-			opts := egi.Options{Window: window, EnsembleSize: benchSize, Seed: benchSeed}
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := egi.Detect(series, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
+			run(b, series, egi.Options{Window: window, EnsembleSize: benchSize, Seed: benchSeed})
 		})
 	}
+	b.Run("paper/n=50000", func(b *testing.B) {
+		series, err := gen.ECG(50000, 200, benchSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		run(b, series, egi.Options{Window: 200, Seed: benchSeed})
+	})
 }
 
 // BenchmarkStreamPush measures the amortized per-point cost of the

@@ -164,6 +164,91 @@ func TestFootprintCountsInductionState(t *testing.T) {
 	}
 }
 
+// TestMemoizedFootprintMatchesRecompute: the memoized MemoryFootprint the
+// serving layers read after every push equals a fresh walk of the retained
+// buffers after every push of a stream-shaped schedule — hop runs at an
+// overlapping hop (member draws change every run), trims, a snapshot
+// restored into a fresh engine over a restored ring (what a migration
+// does), a rebind to another source and back, and a rejected span — so
+// byte budgets evict exactly as they would without the memo.
+func TestMemoizedFootprintMatchesRecompute(t *testing.T) {
+	const (
+		window = 20
+		bufLen = 160
+		hop    = 13
+		length = 1200
+	)
+	series := genSeries(length, window, 41)
+	other, err := timeseries.NewFeatures(genSeries(3*window, window, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := timeseries.NewRingFeatures(bufLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Window: window, Size: 9, Seed: 5, Parallelism: 2}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(ctx string, i int) {
+		t.Helper()
+		if got, want := e.MemoryFootprint(), e.computeFootprint(); got != want {
+			t.Fatalf("%s after push %d: memoized footprint %d, recomputed %d", ctx, i, got, want)
+		}
+	}
+	runIdx := 0
+	for i, x := range series {
+		if err := ring.Append(x); err != nil {
+			t.Fatal(err)
+		}
+		check("push", i)
+		total := i + 1
+		if total < bufLen || (total-bufLen)%hop != 0 {
+			continue
+		}
+		start := total - bufLen
+		if _, err := e.DetectSpan(ring, start, total, int64(runIdx)*SeedStride); err != nil {
+			t.Fatal(err)
+		}
+		check("hop run", i)
+		e.TrimBefore(start + hop)
+		check("trim", i)
+		runIdx++
+		switch runIdx {
+		case 20:
+			// Migration: snapshot the engine and the ring, restore both.
+			st := e.State()
+			if ring, err = timeseries.RestoreRing(ring.State()); err != nil {
+				t.Fatal(err)
+			}
+			if e, err = New(cfg); err != nil {
+				t.Fatal(err)
+			}
+			check("fresh engine", i)
+			if err := e.RestoreState(ring, st); err != nil {
+				t.Fatal(err)
+			}
+			check("restore", i)
+		case 40:
+			// Rebinding to another source drops every pipeline; the next
+			// hop run rebinds to the ring and rebuilds them.
+			if _, err := e.MemberCurves(other, 0, other.SeriesLen(), 1); err != nil {
+				t.Fatal(err)
+			}
+			check("rebind", i)
+			if _, err := e.DetectSpan(ring, 0, total, 0); err == nil {
+				t.Fatal("span outside the retained ring should be rejected")
+			}
+			check("rejected span", i)
+		}
+	}
+	if runIdx < 50 {
+		t.Fatalf("only %d hop runs", runIdx)
+	}
+}
+
 // TestRebaseConfigValidation: negative intervals and the incompatible
 // RebuildEachRun+FromScratch pairing are rejected at construction.
 func TestRebaseConfigValidation(t *testing.T) {

@@ -5,7 +5,7 @@
 // An Engine owns one ensemble configuration's long-lived resources — the
 // multi-resolution SAX resolver, the (w,a) parameter grid, per-member
 // incremental discretization pipelines, and pooled hot-path scratch
-// (coefficient/word buffers, per-member token, word and curve arenas) — and
+// (per-PAA-size encode buffers, per-member curve buffers) — and
 // runs Algorithm 1 of the paper over *spans* of one logical series:
 //
 //	res, err := eng.DetectSpan(src, start, end, seed)
@@ -38,6 +38,17 @@
 // always exactly the grammar a from-scratch induction over the epoch's
 // tokens would build. Curve combination then runs per span exactly as in
 // the batch detector.
+//
+// The member stage of a span is a pipeline of tasks sharing the
+// Config.Parallelism slots. Members that share a PAA size w share the §6.2
+// multi-resolution work (one PAA and one breakpoint resolution per window),
+// so encoding runs as one task per w: it brings that group's pipelines up
+// to the span's last window, frees its slot and starts one task per group
+// member for induction and the density curve. Induction of one group thus
+// overlaps the encoding of the others, and no phase of the span runs on
+// one core while the others wait. Each task writes only its own members'
+// state and a word depends only on its window, so results are identical
+// at every Parallelism, including 1.
 package engine
 
 import (
@@ -114,8 +125,10 @@ type Config struct {
 	Combine Combiner
 	// Normalize selects the per-curve normalization (max by default).
 	Normalize Normalizer
-	// Parallelism caps the number of concurrent member
-	// induction/density-curve computations; <= 0 means GOMAXPROCS.
+	// Parallelism caps concurrent encode and member tasks: the per-PAA-size
+	// SAX encoding and the per-member induction/density-curve work of one
+	// span; <= 0 means GOMAXPROCS, and 1 runs the same tasks in sequence.
+	// Results do not depend on it.
 	Parallelism int
 	// RebaseEvery bounds how many spans a member's resumable induction
 	// epoch may cover before its grammar is rebuilt over the current span
@@ -236,12 +249,15 @@ type Source interface {
 	RangeSum2(p, q int) float64
 }
 
-// slot is the pooled per-member scratch: one slot per member index, reused
-// across spans so the steady-state hot path performs no per-span
-// allocations for tokens or curves.
-type slot struct {
-	tokens []sax.Token
-	curve  []float64
+// group is one PAA size's encode task: the span's members with that size
+// and the per-window scratch its encoding reuses. Groups touch disjoint
+// member pipelines, so they encode concurrently.
+type group struct {
+	members []int                 // member indices (generation order) with this PAA size
+	pending []*sax.IncrementalSeq // members' pipelines with windows to encode
+	coeffs  []float64             // PAA coefficients of the current window
+	ivals   []int                 // their breakpoint intervals
+	word    []byte                // one member's word
 }
 
 // memberState is one (w,a) member's resumable induction state, surviving
@@ -260,8 +276,8 @@ type memberState struct {
 
 // Engine runs the ensemble pipeline over spans of one logical series. It
 // is not safe for concurrent use (its internal parallelism is confined to
-// member execution within a call); give each goroutine its own Engine or
-// serialize access.
+// the encode and member tasks within a call); give each goroutine its own
+// Engine or serialize access.
 type Engine struct {
 	cfg Config
 	mr  *sax.MultiResolver
@@ -288,18 +304,18 @@ type Engine struct {
 	inductSel []*memberState
 
 	// Pooled hot-path scratch.
-	coeffs  []float64               // one PAA coefficient buffer (max w)
-	ivals   []int                   // one breakpoint-interval buffer (max w)
-	word    []byte                  // one word buffer (max w)
-	byW     [][]*sax.IncrementalSeq // active extension groups per PAA size
-	ext     []*sax.IncrementalSeq   // extension worklist
-	slots   []slot                  // per-member arenas
-	curves  []MemberCurve           // member outputs for the current span
+	groups  []group       // encode tasks, indexed by PAA size
+	curves  []MemberCurve // member outputs for the current span (curve storage reused)
 	stds    []float64
 	kept    [][]float64
 	errs    []error
-	sem     chan struct{}
+	sem     chan struct{} // one token per running encode or member task
 	running sync.WaitGroup
+
+	// footprint memoizes MemoryFootprint; fpOK is cleared by every call
+	// that can change what the engine retains.
+	footprint int64
+	fpOK      bool
 }
 
 // New builds an engine for the configuration. The returned engine has no
@@ -324,6 +340,10 @@ func New(cfg Config) (*Engine, error) {
 			grid = append(grid, sax.Params{W: w, A: a})
 		}
 	}
+	groups := make([]group, wmax+1)
+	for w := 2; w <= wmax; w++ {
+		groups[w] = group{coeffs: make([]float64, w), ivals: make([]int, w), word: make([]byte, w)}
+	}
 	return &Engine{
 		cfg:    cfg,
 		mr:     mr,
@@ -331,10 +351,7 @@ func New(cfg Config) (*Engine, error) {
 		rng:    rand.New(rand.NewSource(0)),
 		pipes:  make(map[sax.Params]*sax.IncrementalSeq),
 		induct: make(map[sax.Params]*memberState),
-		coeffs: make([]float64, wmax),
-		ivals:  make([]int, wmax),
-		word:   make([]byte, wmax),
-		byW:    make([][]*sax.IncrementalSeq, wmax+1),
+		groups: groups,
 		sem:    make(chan struct{}, cfg.Parallelism),
 	}, nil
 }
@@ -357,7 +374,9 @@ func (e *Engine) drawParams(seed int64) []sax.Params {
 
 // bind attaches the engine to a source, resetting every pipeline when the
 // source changes or the span end regresses (the incremental invariants
-// hold only along one monotonically advancing series).
+// hold only along one monotonically advancing series). It opens every
+// DetectSpan and MemberCurves call, so it also clears the footprint memo
+// for the retained state those calls are about to change.
 func (e *Engine) bind(src Source, end int) {
 	if src != e.src || end < e.lastEnd {
 		// Drop every pipeline and induction state; each is rebuilt from
@@ -371,6 +390,7 @@ func (e *Engine) bind(src Source, end int) {
 		e.src = src
 	}
 	e.lastEnd = end
+	e.fpOK = false
 }
 
 // checkSpan validates a span request against the configuration and source.
@@ -390,15 +410,18 @@ func (e *Engine) checkSpan(src Source, start, end int) error {
 	return nil
 }
 
-// prepare draws the span's members and brings every member pipeline up to
-// date through the span's last window: stale pipelines are reset to the
-// span start (re-discretizing from scratch), current ones encode only the
-// new suffix windows.
-func (e *Engine) prepare(src Source, start, end int, seed int64) []sax.Params {
+// prepare draws the span's members, selects their pipelines and induction
+// states (creating missing ones, resetting stale pipelines to the span start
+// so they re-discretize from scratch) and assigns each member to its PAA
+// size's encode group. It runs serially, so the tasks never touch the maps.
+func (e *Engine) prepare(src Source, start int, seed int64) []sax.Params {
 	params := e.drawParams(seed)
 	e.seqSel = e.seqSel[:0]
 	e.inductSel = e.inductSel[:0]
-	for _, p := range params {
+	for w := range e.groups {
+		e.groups[w].members = e.groups[w].members[:0]
+	}
+	for i, p := range params {
 		seq, ok := e.pipes[p]
 		if !ok {
 			seq = sax.NewIncrementalSeq(p, start)
@@ -414,85 +437,16 @@ func (e *Engine) prepare(src Source, start, end int, seed int64) []sax.Params {
 			e.induct[p] = st
 		}
 		e.inductSel = append(e.inductSel, st)
+		e.groups[p.W].members = append(e.groups[p.W].members, i)
 	}
-	e.extend(src, e.seqSel, start, end)
 	return params
 }
 
-// extend encodes every not-yet-encoded window up to the span's last one
-// for each sequence, sharing one FastPAA evaluation per (window, PAA size)
-// across all members with that PAA size — the §6.2 multi-resolution fast
-// path, restated incrementally.
-func (e *Engine) extend(src Source, seqs []*sax.IncrementalSeq, start, end int) {
-	n := e.cfg.Window
-	lastWin := end - n
-	ext := e.ext[:0]
-	for _, s := range seqs {
-		if s.NextWin() <= lastWin {
-			ext = append(ext, s)
-		}
-	}
-	e.ext = ext
-	if len(ext) == 0 {
-		return
-	}
-	sort.SliceStable(ext, func(i, j int) bool { return ext[i].NextWin() < ext[j].NextWin() })
-	for w := range e.byW {
-		e.byW[w] = e.byW[w][:0]
-	}
-	next := 0
-	for win := ext[0].NextWin(); win <= lastWin; win++ {
-		for next < len(ext) && ext[next].NextWin() == win {
-			w := ext[next].Params().W
-			e.byW[w] = append(e.byW[w], ext[next])
-			next++
-		}
-		// The window's mean/std depend only on the window, not the PAA
-		// size; compute them once and share across the size groups.
-		statsDone := false
-		var mu, sigma float64
-		for w := 2; w < len(e.byW); w++ {
-			group := e.byW[w]
-			if len(group) == 0 {
-				continue
-			}
-			if !statsDone {
-				mu, sigma = timeseries.MeanStd(src, win, win+n)
-				statsDone = true
-			}
-			coeffs := e.coeffs[:w]
-			if err := sax.FastPAAWith(src, win, n, w, mu, sigma, coeffs); err != nil {
-				// Bounds were validated by checkSpan; the only remaining
-				// errors are programming mistakes.
-				panic(err)
-			}
-			// Breakpoint intervals depend on the coefficients alone, so
-			// the group's members share one resolution and encode only
-			// their alphabet's symbols from it.
-			ivals := e.ivals[:w]
-			if err := e.mr.Intervals(coeffs, ivals); err != nil {
-				panic(err)
-			}
-			word := e.word[:w]
-			for _, s := range group {
-				if err := e.mr.WordAt(ivals, s.Params().A, word); err != nil {
-					panic(err)
-				}
-				s.Append(word)
-			}
-		}
-	}
-}
-
-// runMembers executes grammar induction and density-curve construction for
-// every member of the span, concurrently, into the pooled slots. On return
-// e.curves[i] is member i's output (curve storage owned by slot i).
-func (e *Engine) runMembers(params []sax.Params, start, end int) error {
-	n := e.cfg.Window
-	lastWin := end - n
-	for len(e.slots) < len(params) {
-		e.slots = append(e.slots, slot{})
-	}
+// runMembers executes the member stage of the span (lines 4–8 of
+// Algorithm 1) as the task pipeline the package comment describes, each
+// task holding one of the Config.Parallelism tokens of e.sem while it runs.
+// On return e.curves[i] is member i's output.
+func (e *Engine) runMembers(src Source, params []sax.Params, start, end int) error {
 	if cap(e.curves) < len(params) {
 		e.curves = make([]MemberCurve, len(params))
 	}
@@ -500,33 +454,21 @@ func (e *Engine) runMembers(params []sax.Params, start, end int) error {
 	if cap(e.errs) < len(params) {
 		e.errs = make([]error, len(params))
 	}
-	errs := e.errs[:len(params)]
-	for i := range errs {
-		errs[i] = nil
+	e.errs = e.errs[:len(params)]
+	for i := range e.errs {
+		e.errs[i] = nil
 	}
-	for i := range params {
+	for w := range e.groups {
+		g := &e.groups[w]
+		if len(g.members) == 0 {
+			continue
+		}
 		e.running.Add(1)
 		e.sem <- struct{}{}
-		go func(i int) {
-			defer e.running.Done()
-			defer func() { <-e.sem }()
-			sl := &e.slots[i]
-			st := e.inductSel[i]
-			if err := e.advanceInduction(st, e.seqSel[i], sl, start, lastWin); err != nil {
-				errs[i] = err
-				return
-			}
-			curve, err := grammar.WindowedDensityInto(sl.curve, st.b, st.pos, start, end, n)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sl.curve = curve
-			e.curves[i] = MemberCurve{Params: params[i], Curve: curve, Std: stat.PopStd(curve)}
-		}(i)
+		go e.runGroup(g, src, params, start, end)
 	}
 	e.running.Wait()
-	for _, err := range errs {
+	for _, err := range e.errs {
 		if err != nil {
 			return err
 		}
@@ -534,21 +476,111 @@ func (e *Engine) runMembers(params []sax.Params, start, end int) error {
 	return nil
 }
 
+// runGroup is one PAA size's encode task: it encodes the group, frees its
+// token, then starts its members' tasks.
+func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end int) {
+	defer e.running.Done()
+	err := e.encode(g, src, end-e.cfg.Window)
+	<-e.sem
+	for _, i := range g.members {
+		if err != nil {
+			e.errs[i] = err
+			continue
+		}
+		e.running.Add(1)
+		e.sem <- struct{}{}
+		go e.runMember(i, params[i], start, end)
+	}
+}
+
+// encode appends every not-yet-encoded window up to lastWin to the group's
+// pipelines, sharing one FastPAA evaluation and one breakpoint resolution
+// per window across the group — the §6.2 multi-resolution fast path,
+// restated incrementally. Pipelines may resume at different windows (fresh
+// and current members share a group); each joins once the walk reaches its
+// next window.
+func (e *Engine) encode(g *group, src Source, lastWin int) error {
+	pending := g.pending[:0]
+	for _, i := range g.members {
+		if s := e.seqSel[i]; s.NextWin() <= lastWin {
+			// Insertion sort by next window: groups hold a handful of members.
+			k := len(pending)
+			pending = append(pending, s)
+			for ; k > 0 && pending[k-1].NextWin() > s.NextWin(); k-- {
+				pending[k] = pending[k-1]
+			}
+			pending[k] = s
+		}
+	}
+	g.pending = pending
+	if len(pending) == 0 {
+		return nil
+	}
+	n, w := e.cfg.Window, len(g.coeffs)
+	active := 0
+	for win := pending[0].NextWin(); win <= lastWin; win++ {
+		for active < len(pending) && pending[active].NextWin() == win {
+			active++
+		}
+		mu, sigma := timeseries.MeanStd(src, win, win+n)
+		if err := sax.FastPAAWith(src, win, n, w, mu, sigma, g.coeffs); err != nil {
+			return err
+		}
+		// Breakpoint intervals depend on the coefficients alone, so the
+		// group's members share one resolution and encode only their
+		// alphabet's symbols from it.
+		if err := e.mr.Intervals(g.coeffs, g.ivals); err != nil {
+			return err
+		}
+		for _, s := range pending[:active] {
+			if err := e.mr.WordAt(g.ivals, s.Params().A, g.word); err != nil {
+				return err
+			}
+			s.Append(g.word)
+		}
+	}
+	return nil
+}
+
+// runMember is one member's task: advance its resumable induction to the
+// span and build its rule density curve into the member's pooled buffer.
+func (e *Engine) runMember(i int, p sax.Params, start, end int) {
+	defer e.running.Done()
+	defer func() { <-e.sem }()
+	n := e.cfg.Window
+	st := e.inductSel[i]
+	if err := e.advanceInduction(st, e.seqSel[i], start, end-n); err != nil {
+		e.errs[i] = err
+		return
+	}
+	curve, err := grammar.WindowedDensityInto(e.curves[i].Curve, st.b, st.pos, start, end, n)
+	if err != nil {
+		e.errs[i] = err
+		return
+	}
+	e.curves[i] = MemberCurve{Params: p, Curve: curve, Std: stat.PopStd(curve)}
+}
+
 // rebuildInduction re-induces one member's grammar from scratch over the
 // windows [anchor, lastWin]: the builder is reset (storage stays warm) and
-// fed the pipeline's token sequence for that range, with the fed-position
-// record rebuilt in global coordinates.
-func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, sl *slot, anchor, lastWin int) error {
-	var err error
-	sl.tokens, err = seq.SpanTokens(sl.tokens[:0], anchor, lastWin)
+// fed the pipeline's covering tokens for that range in place, with the
+// fed-position record rebuilt in global coordinates. The first covering
+// token may start before the anchor; it stands in for the run it was cut
+// out of, so it is re-anchored to the anchor itself.
+func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anchor, lastWin int) error {
+	toks, err := seq.Covering(anchor, lastWin)
 	if err != nil {
 		return err
 	}
 	st.b.Reset()
-	st.pos = st.pos[:0]
-	for _, tk := range sl.tokens {
+	if cap(st.pos) < len(toks) {
+		st.pos = make([]int, 0, len(toks))
+	}
+	st.pos = append(st.pos[:0], anchor)
+	st.b.Push(toks[0].Word)
+	for _, tk := range toks[1:] {
 		st.b.Push(tk.Word)
-		st.pos = append(st.pos, anchor+tk.Pos)
+		st.pos = append(st.pos, tk.Pos)
 	}
 	return nil
 }
@@ -563,7 +595,7 @@ func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, sl *
 // mode or timing, which is what keeps FromScratch/incremental and
 // RebuildEachRun/amortized runs bit-identical. It touches only this
 // member's state, so members advance concurrently.
-func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, sl *slot, start, lastWin int) error {
+func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, start, lastWin int) error {
 	spanW := lastWin - start + 1
 	fresh := st.b.Len() == 0
 	// A gap in the fed windows (the span grid jumped past the default
@@ -582,7 +614,7 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, sl *
 		}
 	}
 	if rebase {
-		if err := e.rebuildInduction(st, seq, sl, start, lastWin); err != nil {
+		if err := e.rebuildInduction(st, seq, start, lastWin); err != nil {
 			return err
 		}
 		st.base, st.fedTo, st.runs = start, lastWin, 1
@@ -591,7 +623,7 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, sl *
 	if e.cfg.RebuildEachRun {
 		// Reference semantics: re-induce the whole epoch from scratch,
 		// keeping the existing anchor.
-		if err := e.rebuildInduction(st, seq, sl, st.base, lastWin); err != nil {
+		if err := e.rebuildInduction(st, seq, st.base, lastWin); err != nil {
 			return err
 		}
 	} else if lastWin > st.fedTo {
@@ -630,8 +662,8 @@ func (e *Engine) DetectSpan(src Source, start, end int, seed int64) (*Result, er
 		return nil, err
 	}
 	e.bind(src, end)
-	params := e.prepare(src, start, end, seed)
-	if err := e.runMembers(params, start, end); err != nil {
+	params := e.prepare(src, start, seed)
+	if err := e.runMembers(src, params, start, end); err != nil {
 		return nil, err
 	}
 	return e.combinePooled(e.curves)
@@ -647,8 +679,8 @@ func (e *Engine) MemberCurves(src Source, start, end int, seed int64) ([]MemberC
 		return nil, err
 	}
 	e.bind(src, end)
-	params := e.prepare(src, start, end, seed)
-	if err := e.runMembers(params, start, end); err != nil {
+	params := e.prepare(src, start, seed)
+	if err := e.runMembers(src, params, start, end); err != nil {
 		return nil, err
 	}
 	out := make([]MemberCurve, len(e.curves))
@@ -666,16 +698,25 @@ func (e *Engine) MemberCurves(src Source, start, end int, seed int64) ([]MemberC
 // per-member incremental pipelines (tokens + word bytes), the per-member
 // resumable induction states (grammar arena + tables + fed-position
 // records, each bounded by the rebase schedule's epoch extent) plus the
-// pooled hot-path scratch (per-member slots, parameter grid and draw
-// buffer, coefficient/word buffers, combination scratch). It deliberately
+// pooled hot-path scratch (per-member curve buffers, parameter grid and
+// draw buffer, encode-group buffers, combination scratch). It deliberately
 // counts the deterministic, capacity-based footprint of the buffers the
 // engine owns — the quantities its bounded-memory guarantees are about —
 // rather than chasing Go runtime allocator truth. The dominant terms are
-// the pipelines, induction states and slots, all bounded by the span
-// length (times the bounded epoch factor) the owner feeds it, so a
+// the pipelines, induction states and curve buffers, all bounded by the
+// span length (times the bounded epoch factor) the owner feeds it, so a
 // streaming owner's engine footprint plateaus once the hop schedule
-// reaches steady state.
+// reaches steady state. The value is memoized between the calls that can
+// change it, so serving layers may read it after every push.
 func (e *Engine) MemoryFootprint() int64 {
+	if !e.fpOK {
+		e.footprint, e.fpOK = e.computeFootprint(), true
+	}
+	return e.footprint
+}
+
+// computeFootprint walks every retained buffer; MemoryFootprint memoizes it.
+func (e *Engine) computeFootprint() int64 {
 	var total int64
 	for _, seq := range e.pipes {
 		total += seq.MemoryBytes()
@@ -683,21 +724,18 @@ func (e *Engine) MemoryFootprint() int64 {
 	for _, st := range e.induct {
 		total += st.b.MemoryBytes() + int64(cap(st.pos))*8
 	}
-	const tokenSize, stringHeader, memberCurveSize = 24, 16, 48
-	for i := range e.slots {
-		sl := &e.slots[i]
-		total += int64(cap(sl.tokens))*tokenSize +
-			int64(cap(sl.curve))*8
+	const sliceHeader, stringHeader, memberCurveSize = 24, 16, 48
+	for _, m := range e.curves[:cap(e.curves)] {
+		total += int64(cap(m.Curve)) * 8
 	}
 	total += int64(cap(e.grid)+cap(e.draw)) * stringHeader // sax.Params: two ints
-	total += int64(cap(e.coeffs)+cap(e.ivals))*8 + int64(cap(e.word))
-	total += int64(cap(e.seqSel)+cap(e.ext)+cap(e.inductSel)) * 8
-	for _, g := range e.byW {
-		total += int64(cap(g)) * 8
+	total += int64(cap(e.seqSel)+cap(e.inductSel)) * 8
+	for _, g := range e.groups {
+		total += int64(cap(g.members)+cap(g.pending)+cap(g.coeffs)+cap(g.ivals))*8 + int64(cap(g.word))
 	}
 	total += int64(cap(e.curves)) * memberCurveSize
 	total += int64(cap(e.stds)) * 8
-	total += int64(cap(e.kept)) * tokenSize // slice headers
+	total += int64(cap(e.kept)) * sliceHeader
 	total += int64(cap(e.errs)) * stringHeader
 	return total
 }
@@ -797,6 +835,7 @@ func (e *Engine) RestoreState(src Source, st State) error {
 	}
 	e.src = src
 	e.lastEnd = st.LastEnd
+	e.fpOK = false
 	return nil
 }
 
@@ -807,6 +846,7 @@ func (e *Engine) TrimBefore(pos int) {
 	for _, seq := range e.pipes {
 		seq.TrimBefore(pos)
 	}
+	e.fpOK = false
 }
 
 // combinePooled performs lines 9–14 of Algorithm 1 on the pooled member

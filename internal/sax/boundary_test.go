@@ -144,7 +144,7 @@ func TestIncrementalSeqMatchesDiscretize(t *testing.T) {
 					}
 					seq.Append(word)
 				}
-				span, err = seq.SpanTokens(span[:0], start, end-n)
+				span, err = spanTokens(span[:0], seq, start, end-n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,6 +165,21 @@ func TestIncrementalSeqMatchesDiscretize(t *testing.T) {
 			}
 		}
 	}
+}
+
+// spanTokens re-bases the covering tokens of the windows [startWin, endWin]
+// to span-local positions, the first one re-anchored to the span start —
+// the form a from-scratch Discretize over the span produces.
+func spanTokens(dst []Token, seq *IncrementalSeq, startWin, endWin int) ([]Token, error) {
+	toks, err := seq.Covering(startWin, endWin)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, Token{Word: toks[0].Word, Pos: 0})
+	for _, t := range toks[1:] {
+		dst = append(dst, Token{Word: t.Word, Pos: t.Pos - startWin})
+	}
+	return dst, nil
 }
 
 // discretizeSpan is the from-scratch reference: one word per window of the
@@ -211,18 +226,18 @@ func TestIncrementalSeqReset(t *testing.T) {
 	if seq.Len() != 1 {
 		t.Fatalf("after reset+append: len=%d, want 1", seq.Len())
 	}
-	toks, err := seq.SpanTokens(nil, 10, 10)
+	toks, err := seq.Covering(10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 1 || toks[0] != (Token{Word: "ba", Pos: 0}) {
-		t.Fatalf("span tokens %v", toks)
+	if len(toks) != 1 || toks[0] != (Token{Word: "ba", Pos: 10}) {
+		t.Fatalf("covering tokens %v", toks)
 	}
 	// Asking for a span the sequence does not cover errors.
-	if _, err := seq.SpanTokens(nil, 10, 11); err == nil {
+	if _, err := seq.Covering(10, 11); err == nil {
 		t.Fatal("uncovered span should error")
 	}
-	if _, err := seq.SpanTokens(nil, 9, 10); err == nil {
+	if _, err := seq.Covering(9, 10); err == nil {
 		t.Fatal("span before first token should error")
 	}
 }

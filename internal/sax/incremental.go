@@ -16,10 +16,11 @@ import (
 //
 // The incremental invariant (tested property): provided every window's word
 // is computed from span-independent range sums (FastPAAFrom over a global-
-// coordinate FeatureSource), SpanTokens(start, ...) is bit-identical to
-// numerosity-reducing a from-scratch word-per-window pass over the span —
-// the first retained token re-based to the span start stands in for the
-// run it was cut out of, exactly as Discretize would have emitted it.
+// coordinate FeatureSource), Covering(start, ...) with its first token
+// re-anchored to the span start is bit-identical to numerosity-reducing a
+// from-scratch word-per-window pass over the span — the first retained
+// token stands in for the run it was cut out of, exactly as Discretize
+// would have emitted it.
 type IncrementalSeq struct {
 	params    Params
 	tokens    []Token // ascending global Pos; tokens[i].Pos < next
@@ -161,7 +162,7 @@ func (s *IncrementalSeq) State() SeqState {
 
 // RestoreSeq reconstructs an IncrementalSeq from a captured state. The
 // result is behaviorally identical to the pipeline the state was captured
-// from: subsequent Appends, Suffix and SpanTokens calls produce bit-equal
+// from: subsequent Appends, Suffix and Covering calls produce bit-equal
 // output.
 func RestoreSeq(st SeqState) *IncrementalSeq {
 	s := &IncrementalSeq{
@@ -178,28 +179,23 @@ func RestoreSeq(st SeqState) *IncrementalSeq {
 	return s
 }
 
-// SpanTokens appends to dst the token sequence for the span whose windows
-// are [startWin, endWin] (global, inclusive), re-based to span-local
-// positions, and returns the extended slice. It is bit-identical to what a
-// from-scratch Discretize over the span would produce. The sequence must
-// already cover the span: its first token at or before startWin, and
-// NextWin() > endWin.
-func (s *IncrementalSeq) SpanTokens(dst []Token, startWin, endWin int) ([]Token, error) {
+// Covering returns the retained tokens that cover the span whose windows
+// are [startWin, endWin] (global, inclusive): the last token at or before
+// startWin, which carries the word of the span's first window, followed by
+// every token with Pos in (startWin, endWin]. Re-anchoring the first
+// token's Pos to startWin yields, in global coordinates, exactly the token
+// sequence a from-scratch Discretize over the span would produce. The
+// sequence must already cover the span: its first token at or before
+// startWin, and NextWin() > endWin. The returned slice aliases the
+// sequence's storage and is valid until the next Append or TrimBefore.
+func (s *IncrementalSeq) Covering(startWin, endWin int) ([]Token, error) {
 	if s.empty || s.next <= endWin {
-		return dst, fmt.Errorf("sax: sequence %v covers windows up to %d, span needs %d", s.params, s.next-1, endWin)
+		return nil, fmt.Errorf("sax: sequence %v covers windows up to %d, span needs %d", s.params, s.next-1, endWin)
 	}
 	if len(s.tokens) == 0 || s.tokens[0].Pos > startWin {
-		return dst, fmt.Errorf("sax: sequence %v trimmed past span start window %d", s.params, startWin)
+		return nil, fmt.Errorf("sax: sequence %v trimmed past span start window %d", s.params, startWin)
 	}
-	// The last token at or before startWin provides the word of the span's
-	// first window; numerosity reduction would have emitted it at local 0.
 	k := sort.Search(len(s.tokens), func(i int) bool { return s.tokens[i].Pos > startWin }) - 1
-	dst = append(dst, Token{Word: s.tokens[k].Word, Pos: 0})
-	for _, t := range s.tokens[k+1:] {
-		if t.Pos > endWin {
-			break
-		}
-		dst = append(dst, Token{Word: t.Word, Pos: t.Pos - startWin})
-	}
-	return dst, nil
+	j := k + sort.Search(len(s.tokens)-k, func(i int) bool { return s.tokens[k+i].Pos > endWin })
+	return s.tokens[k:j], nil
 }

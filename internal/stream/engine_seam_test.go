@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -152,38 +153,106 @@ func TestSteadyStatePushAllocations(t *testing.T) {
 		size   = 6
 	)
 	series := sineSeries(4*bufLen, window, 5)
-	d, err := New(Config{
-		Window:       window,
-		BufLen:       bufLen,
-		Hop:          hop,
-		EnsembleSize: size,
-		Seed:         1,
-		Parallelism:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.PushBatch(series); err != nil {
-		t.Fatal(err)
-	}
-	next := len(series)
-	avg := testing.AllocsPerRun(40, func() {
-		for i := 0; i < hop; i++ {
-			if err := d.Push(series[next%len(series)]); err != nil {
-				t.Fatal(err)
-			}
-			next++
+	// Parallelism 1 runs the engine's encode and member tasks one at a
+	// time; 2 overlaps them. Both stay under the same budget.
+	for _, par := range []int{1, 2} {
+		d, err := New(Config{
+			Window:       window,
+			BufLen:       bufLen,
+			Hop:          hop,
+			EnsembleSize: size,
+			Seed:         1,
+			Parallelism:  par,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	perPush := avg / hop
-	t.Logf("steady state: %.1f allocs per hop run, %.2f per pushed point", avg, perPush)
-	// One hop run = size members × (sequitur grammar + bookkeeping) plus
-	// combine/rank output: ~1340 objects when this bound was set. The
-	// pre-engine pipeline measured 3863 on the identical scenario
-	// (features, token sequences, words and curves rebuilt per member per
-	// hop); the budget sits between the two to catch regressions toward
-	// the old profile while leaving headroom for runtime-version noise.
-	if avg > 2000 {
-		t.Errorf("steady-state hop run allocates %.1f objects, budget 2000", avg)
+		if err := d.PushBatch(series); err != nil {
+			t.Fatal(err)
+		}
+		next := len(series)
+		avg := testing.AllocsPerRun(40, func() {
+			for i := 0; i < hop; i++ {
+				if err := d.Push(series[next%len(series)]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+		})
+		perPush := avg / hop
+		t.Logf("parallelism %d, steady state: %.1f allocs per hop run, %.2f per pushed point", par, avg, perPush)
+		// One hop run = size members × (sequitur grammar + bookkeeping) plus
+		// combine/rank output: ~1340 objects when this bound was set. The
+		// pre-engine pipeline measured 3863 on the identical scenario
+		// (features, token sequences, words and curves rebuilt per member per
+		// hop); the budget sits between the two to catch regressions toward
+		// the old profile while leaving headroom for runtime-version noise.
+		if avg > 2000 {
+			t.Errorf("parallelism %d: steady-state hop run allocates %.1f objects, budget 2000", par, avg)
+		}
+	}
+}
+
+// TestParallelismBitIdentitySmallHop: at a hop shorter than the window
+// every run draws a new member set, so one PAA-size group mixes fresh,
+// reset and current pipelines that resume at different windows. The
+// engine's encode and member tasks then run in a different order at every
+// Parallelism setting; events, the retained curve and the snapshot bytes
+// (before and after Flush) must not depend on it.
+func TestParallelismBitIdentitySmallHop(t *testing.T) {
+	const window = 30
+	series := sineSeries(2400, window, 23, 900, 1700)
+	type outcome struct {
+		events      []Event
+		start       int
+		curve       []float64
+		live, final []byte
+	}
+	run := func(par int) outcome {
+		var o outcome
+		d, err := New(Config{
+			Window: window, BufLen: 240, Hop: 7, EnsembleSize: 24, Seed: 11,
+			Parallelism: par,
+			OnEvent:     func(e Event) { o.events = append(o.events, e) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.PushBatch(series); err != nil {
+			t.Fatal(err)
+		}
+		o.live = d.Snapshot()
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		o.final = d.Snapshot()
+		o.start, o.curve = d.Curve()
+		return o
+	}
+	ref := run(1)
+	if len(ref.events) == 0 {
+		t.Fatal("reference run emitted no events")
+	}
+	for _, par := range []int{2, 8} {
+		got := run(par)
+		if len(got.events) != len(ref.events) {
+			t.Fatalf("parallelism %d: %d events, want %d", par, len(got.events), len(ref.events))
+		}
+		for i := range ref.events {
+			if got.events[i] != ref.events[i] {
+				t.Fatalf("parallelism %d event %d: %+v, want %+v", par, i, got.events[i], ref.events[i])
+			}
+		}
+		if got.start != ref.start || len(got.curve) != len(ref.curve) {
+			t.Fatalf("parallelism %d: curve [%d,+%d), want [%d,+%d)", par, got.start, len(got.curve), ref.start, len(ref.curve))
+		}
+		for i := range ref.curve {
+			if got.curve[i] != ref.curve[i] {
+				t.Fatalf("parallelism %d curve[%d]: %v, want %v", par, i, got.curve[i], ref.curve[i])
+			}
+		}
+		if !bytes.Equal(got.live, ref.live) || !bytes.Equal(got.final, ref.final) {
+			t.Fatalf("parallelism %d: snapshot bytes differ", par)
+		}
 	}
 }
