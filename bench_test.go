@@ -378,6 +378,25 @@ func BenchmarkDetect(b *testing.B) {
 	})
 }
 
+// BenchmarkDetectChunked measures the chunk-and-stitch batch detector on a
+// 100k-point synthetic ECG (window 100, 1000-point chunks, N=20): a
+// hundred chunks through one default-hop stream detector, with only one
+// chunk's working set resident besides the output curve.
+func BenchmarkDetectChunked(b *testing.B) {
+	series, err := gen.ECG(100000, 100, benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := egi.Options{Window: 100, EnsembleSize: 20, Seed: benchSeed}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := egi.DetectChunked(series, opts, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStreamPush measures the amortized per-point cost of the
 // streaming detector (the time column is ns per pushed point, since each
 // iteration pushes exactly one point). Re-induction runs once per hop —

@@ -24,11 +24,14 @@
 package egi
 
 import (
+	"fmt"
+
 	"egi/internal/core"
 	"egi/internal/grammar"
 	"egi/internal/matrixprofile"
 	"egi/internal/rra"
 	"egi/internal/sax"
+	"egi/internal/stream"
 	"egi/internal/timeseries"
 )
 
@@ -78,16 +81,7 @@ type Result struct {
 // window) and returns an error rather than panicking on degenerate input;
 // a constant series yields ErrNoUsableCurves from the core package.
 func Detect(series []float64, opts Options) (*Result, error) {
-	cfg := core.Config{
-		Window: opts.Window,
-		Size:   opts.EnsembleSize,
-		WMax:   opts.WMax,
-		AMax:   opts.AMax,
-		Tau:    opts.Tau,
-		TopK:   opts.TopK,
-		Seed:   opts.Seed,
-	}
-	res, err := core.Detect(timeseries.Series(series), cfg)
+	res, err := core.Detect(timeseries.Series(series), opts.config())
 	if err != nil {
 		return nil, err
 	}
@@ -130,27 +124,49 @@ func Discords(series []float64, window, k int) ([]Anomaly, error) {
 }
 
 // DetectChunked is Detect for very long series: the input is processed in
-// overlapping chunks of chunkLen points, bounding memory to one chunk at
-// a time, and the per-chunk ensemble curves are stitched before ranking.
-// With chunkLen >= len(series) it is identical to Detect.
+// overlapping chunks of chunkLen points (consecutive chunks share
+// Window-1 points), and the per-chunk ensemble curves are averaged where
+// they overlap before anomalies are ranked on the stitched curve. It
+// pushes the series through one streaming detector whose buffer is one
+// chunk, at the default hop, so what stays resident is that buffer, one
+// chunk's working set and the returned curve. chunkLen must be at least
+// 4x the window; with chunkLen >= len(series) it is identical to Detect.
 func DetectChunked(series []float64, opts Options, chunkLen int) (*Result, error) {
-	cfg := core.Config{
-		Window: opts.Window,
-		Size:   opts.EnsembleSize,
-		WMax:   opts.WMax,
-		AMax:   opts.AMax,
-		Tau:    opts.Tau,
-		TopK:   opts.TopK,
-		Seed:   opts.Seed,
-	}
-	res, err := core.DetectChunked(timeseries.Series(series), cfg, chunkLen)
+	cfg, err := opts.config().Normalized()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Anomalies: fromCandidates(res.Candidates),
-		Curve:     res.Curve,
-	}, nil
+	if err := timeseries.Series(series).Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Window > len(series) {
+		return nil, fmt.Errorf("egi: window %d exceeds series length %d", cfg.Window, len(series))
+	}
+	if chunkLen >= len(series) {
+		return Detect(series, opts)
+	}
+	if chunkLen < 4*cfg.Window {
+		return nil, fmt.Errorf("egi: chunk length %d too small; need at least 4x the window (%d)",
+			chunkLen, 4*cfg.Window)
+	}
+	curve, err := stream.StitchedCurve(series, stream.Config{
+		Window:       cfg.Window,
+		BufLen:       chunkLen,
+		EnsembleSize: cfg.Size,
+		WMax:         cfg.WMax,
+		AMax:         cfg.AMax,
+		Tau:          cfg.Tau,
+		TopK:         cfg.TopK,
+		Seed:         cfg.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cands, err := grammar.RankAnomalies(curve, cfg.Window, cfg.TopK)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Anomalies: fromCandidates(cands), Curve: curve}, nil
 }
 
 // VariableLengthAnomalies runs the Rare Rule Anomaly (RRA) algorithm of
@@ -195,6 +211,19 @@ func Motifs(series []float64, window, w, a, k int) ([]Motif, error) {
 		out[i] = Motif{Rule: m.RuleString, Occurrences: m.Occurrences}
 	}
 	return out, nil
+}
+
+// config maps the public options onto the batch detector configuration.
+func (opts Options) config() core.Config {
+	return core.Config{
+		Window: opts.Window,
+		Size:   opts.EnsembleSize,
+		WMax:   opts.WMax,
+		AMax:   opts.AMax,
+		Tau:    opts.Tau,
+		TopK:   opts.TopK,
+		Seed:   opts.Seed,
+	}
 }
 
 func fromCandidates(cands []grammar.Candidate) []Anomaly {

@@ -14,7 +14,9 @@
 // core is the batch face of the shared detection engine (internal/stream
 // is the online face), delegating member execution, discretization and
 // curve combination to an engine.Engine and keeping only the batch-shaped
-// entry points (whole series in, Result out) and the chunked stitcher.
+// entry points (whole series in, Result out). The chunk-and-stitch form
+// for very long series lives with the stream's stitcher (egi.DetectChunked
+// drives internal/stream).
 package core
 
 import (

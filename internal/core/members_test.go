@@ -2,10 +2,56 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"egi/internal/sax"
 	"egi/internal/timeseries"
 )
+
+// TestComputeMembersOrderMatchesGenerateParams pins what the engine's
+// allocation-free member draw only claims in a comment: its (w,a) order
+// is exactly GenerateParams over a generator seeded with cfg.Seed, for
+// grids smaller than the ensemble, PAA caps beyond the window and the
+// full 26-letter alphabet. Stage-by-stage reconstructions of Detect
+// (perfbench's traced batch run) rely on that order.
+func TestComputeMembersOrderMatchesGenerateParams(t *testing.T) {
+	s := noisyPeriodic(300, 25, 150, 4)
+	f, err := timeseries.NewFeatures(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		name                     string
+		window, size, wmax, amax int
+	}{
+		{"paper grid", 100, 50, 10, 10},
+		{"size beyond grid", 100, 10, 3, 4},
+		{"wmax beyond window", 5, 20, 10, 6},
+		{"full alphabet", 60, 50, 10, 26},
+	} {
+		for _, seed := range []int64{0, 1, 7, 42, -3} {
+			cfg := Config{Window: g.window, Size: g.size, WMax: g.wmax, AMax: g.amax, Seed: seed}
+			members, err := ComputeMembers(f, cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", g.name, seed, err)
+			}
+			want := GenerateParams(rand.New(rand.NewSource(seed)), g.size, g.wmax, g.amax, g.window)
+			got := make([]sax.Params, len(members))
+			for i, m := range members {
+				got[i] = m.Params
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d members, GenerateParams gives %d", g.name, seed, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: member %d is %v, GenerateParams gives %v", g.name, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
 
 func TestComputeMembersMatchesDetect(t *testing.T) {
 	s := noisyPeriodic(1500, 50, 700, 31)

@@ -1,6 +1,7 @@
 // Package engine is the reusable detection core both faces of the library
-// are thin layers over: the batch detectors (internal/core, egi.Detect /
-// egi.DetectChunked) and the online detector (internal/stream, egi.Stream).
+// are thin layers over: the batch detectors (internal/core, egi.Detect) and
+// the online detector (internal/stream: egi.Stream, and egi.DetectChunked,
+// which pushes a whole series through it).
 //
 // An Engine owns one ensemble configuration's long-lived resources — the
 // multi-resolution SAX resolver, the (w,a) parameter grid, per-member
@@ -29,8 +30,9 @@
 // builder's grammar is anchored at an epoch base at or before the span
 // start; a rebase rebuilds it over exactly the current span — on a
 // member's first run, on seams (token gaps, trimmed history), whenever
-// consecutive spans share no windows (which keeps the default-hop
-// schedule, and with it the stream == DetectChunked identity, bit-exact),
+// consecutive spans share no windows (which keeps every span of the
+// default-hop schedule, and so every egi.DetectChunked chunk, bit-identical
+// to an independent run over that span),
 // and periodically per Config.RebaseEvery so rules anchored in expired
 // tokens don't accumulate. Between rebases the grammar sees the tokens of
 // every span since the epoch base — more context than a per-span
@@ -76,10 +78,10 @@ const (
 )
 
 // SeedStride separates the parameter-generation seeds of consecutive spans
-// on a chunk/hop grid: span k runs with seed base + k*SeedStride. Batch
-// chunking (core.DetectChunked) and streaming hop runs (internal/stream)
-// share it, which is what makes a default-hop stream bit-compatible with
-// the chunked batch detector.
+// on a chunk/hop grid: span k runs with seed base + k*SeedStride. The
+// streaming hop runs (internal/stream, and through it the chunks of
+// egi.DetectChunked) use it, and reference loops in tests seed their
+// spans the same way.
 const SeedStride = 1000003
 
 // Combiner selects how the surviving normalized curves are merged.
@@ -135,8 +137,9 @@ type Config struct {
 	// alone. 0 (the default) selects the adaptive schedule: rebase when
 	// consecutive spans share no windows, and whenever the epoch's window
 	// extent exceeds twice the span's — which keeps per-span semantics at
-	// non-overlapping hop schedules (stream == DetectChunked stays
-	// bit-exact) and amortized-O(hop) induction at overlapping ones.
+	// non-overlapping hop schedules (each default-hop span, and so each
+	// DetectChunked chunk, is an independent run) and amortized-O(hop)
+	// induction at overlapping ones.
 	// K >= 1 rebases each member after K spans it participated in; larger
 	// K retains more grammar context (and more token history in memory)
 	// between rebuilds, K = 1 forces per-span induction everywhere.

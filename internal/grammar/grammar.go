@@ -151,27 +151,21 @@ func DetectWithFeatures(f *timeseries.Features, n int, p sax.Params, mr *sax.Mul
 		return nil, fmt.Errorf("%w: n=%d len=%d", ErrBadSeries, n, f.SeriesLen())
 	}
 	if mr == nil {
-		mr, err := sax.NewMultiResolver(p.A)
-		if err != nil {
+		var err error
+		if mr, err = sax.NewMultiResolver(p.A); err != nil {
 			return nil, err
 		}
-		return detect(f, n, p, mr, topK)
 	}
 	return detect(f, n, p, mr, topK)
 }
 
+// detect runs the pipeline once the arguments are checked: discretize,
+// induce the grammar, build the density curve and rank the candidates.
 func detect(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver, topK int) (*Result, error) {
 	tokens, err := sax.Discretize(f, n, p, mr)
 	if err != nil {
 		return nil, err
 	}
-	return DetectFromTokens(tokens, f.SeriesLen(), n, p, topK)
-}
-
-// DetectFromTokens runs induction, density curve and ranking over an
-// already-discretized token sequence. The ensemble calls this per member
-// after its shared multi-resolution discretization pass.
-func DetectFromTokens(tokens []sax.Token, seriesLen, n int, p sax.Params, topK int) (*Result, error) {
 	words := make([]string, len(tokens))
 	for i, t := range tokens {
 		words[i] = t.Word
@@ -180,7 +174,7 @@ func DetectFromTokens(tokens []sax.Token, seriesLen, n int, p sax.Params, topK i
 	if err != nil {
 		return nil, err
 	}
-	curve, err := DensityCurve(g, tokens, seriesLen, n)
+	curve, err := DensityCurve(g, tokens, f.SeriesLen(), n)
 	if err != nil {
 		return nil, err
 	}

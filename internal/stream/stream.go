@@ -7,7 +7,7 @@
 // keeps a rolling prefix-sum ring (timeseries.RingFeatures) over the most
 // recent BufLen points and, every Hop points, asks a long-lived
 // engine.Engine for the ensemble result over the buffered span — one "hop
-// run" per chunk, seeded exactly like core.DetectChunked seeds its chunks.
+// run" per chunk, run k seeded with Seed + k*engine.SeedStride.
 // The engine reuses each member's discretization across overlapping hops
 // (only the new suffix windows are encoded per run), amortizes grammar
 // induction the same way — each member's resumable grammar is appended the
@@ -22,10 +22,11 @@
 // slid past it; only then are its window scores computed and events
 // decided, so an emitted Event never changes retroactively.
 //
-// With the default Hop (BufLen - Window + 1, the DetectChunked stride) the
-// stitched curve is byte-identical to core.DetectChunked over the same
-// points, and a stream whose buffer never overflows (BufLen >= stream
-// length) reproduces core.Detect exactly at Flush. Smaller hops trade
+// With the default Hop (BufLen - Window + 1) the hop runs are the chunks
+// of a chunk-and-stitch batch detector with chunks of BufLen points:
+// StitchedCurve pushes a whole series through such a detector, and that
+// is egi.DetectChunked. A stream whose buffer never overflows (BufLen >=
+// stream length) reproduces core.Detect exactly at Flush. Smaller hops trade
 // extra recomputation for lower detection latency and smoother stitching —
 // and profit the most from incremental re-discretization, since
 // consecutive spans then overlap almost entirely.
@@ -57,11 +58,6 @@ const (
 	// more anomalous).
 	DefaultThreshold = 0.2
 )
-
-// seedStride separates per-run seeds; identical to the per-chunk seed
-// stride of core.DetectChunked, which is what makes the default-hop
-// stream bit-compatible with the chunked batch detector.
-const seedStride = engine.SeedStride
 
 // Errors reported by the detector.
 var (
@@ -111,12 +107,12 @@ type Config struct {
 	// sought. Required.
 	Window int
 	// BufLen is the ring buffer capacity: each hop run sees exactly the
-	// last BufLen points. Default 10x Window; must be >= 4x Window (the
-	// core.DetectChunked minimum chunk length).
+	// last BufLen points. Default 10x Window; must be >= 4x Window
+	// (egi.DetectChunked's minimum chunk length: its chunk is one buffer).
 	BufLen int
 	// Hop is the number of points between ensemble re-inductions.
-	// Default BufLen - Window + 1, the DetectChunked stride — the
-	// largest hop that still leaves no coverage gaps. Smaller hops
+	// Default BufLen - Window + 1, the largest hop that still leaves no
+	// coverage gaps, and the chunk stride of egi.DetectChunked. Smaller hops
 	// lower latency at proportionally higher cost (mitigated by the
 	// engine's incremental re-discretization).
 	Hop int
@@ -146,7 +142,8 @@ type Config struct {
 	// RebaseEvery bounds how many hop runs a member's resumable grammar
 	// may span before it is rebuilt over the live buffer alone (the
 	// engine's induction epoch). 0 selects the adaptive default: per-run
-	// induction at the default hop (keeping the DetectChunked identity),
+	// induction at the default hop (each run, like each chunk of
+	// egi.DetectChunked, an independent induction),
 	// amortized-O(hop) induction with bounded history at overlapping
 	// hops. K >= 1 rebases every K runs: larger K gives the grammar more
 	// cross-hop context and retains proportionally more token history;
@@ -276,6 +273,12 @@ type Detector struct {
 	// finite/non-finite batch under the Clamp/Drop policies, one bulk
 	// segment at a time; bounded by one run segment (<= BufLen values).
 	batchScratch []float64
+
+	// final, when non-nil, receives every stitched value trimTo drops,
+	// in stream order: the whole-series curve StitchedCurve returns.
+	// Only StitchedCurve sets it; it is not detector state (snapshots
+	// and MemoryFootprint leave it out).
+	final []float64
 
 	flushed bool
 }
@@ -525,8 +528,8 @@ func (d *Detector) sinceRun() int {
 	return d.total - (d.lastStart + d.cfg.BufLen)
 }
 
-// nextStart is the first stream position of the next run's span: the
-// DetectChunked chunk grid, anchored at 0.
+// nextStart is the first stream position of the next run's span: the hop
+// grid, anchored at 0 (at the default hop, the chunk grid).
 func (d *Detector) nextStart() int {
 	if d.lastStart < 0 {
 		return d.total - d.buffered()
@@ -535,7 +538,7 @@ func (d *Detector) nextStart() int {
 }
 
 // Flush finishes the stream: it runs the ensemble over the still-uncovered
-// tail (exactly the final partial chunk DetectChunked would process),
+// tail (at the default hop, the final partial chunk),
 // finalizes every remaining window score, emits any open dip as a last
 // Event, and marks the detector flushed. Curve and Anomalies remain
 // usable; further pushes return ErrFlushed. Flush is idempotent.
@@ -562,14 +565,15 @@ func (d *Detector) Flush() error {
 // window scores, and (for periodic runs) trims the stitched region and the
 // engine's token pipelines back to their bounded sizes.
 func (d *Detector) run(start int, trim bool) error {
-	res, err := d.eng.DetectSpan(d.ring, start, d.total, d.cfg.Seed+int64(d.runIdx)*seedStride)
+	res, err := d.eng.DetectSpan(d.ring, start, d.total, d.cfg.Seed+int64(d.runIdx)*engine.SeedStride)
 	if err != nil && err != engine.ErrNoUsableCurves {
 		return fmt.Errorf("stream: run %d [%d,%d): %w", d.runIdx, start, d.total, err)
 	}
 
 	// Extend the stitched region through d.total and accumulate. A
 	// locally-constant span (ErrNoUsableCurves) contributes zero density
-	// but full coverage, as in core.DetectChunked.
+	// but full coverage: the stitched ranking treats it as unexplained,
+	// as Detect treats a flat region inside its span.
 	for d.pendOff+len(d.sum) < d.total {
 		d.sum = append(d.sum, 0)
 		d.cnt = append(d.cnt, 0)
@@ -679,6 +683,11 @@ func (d *Detector) trimTo(p int) {
 	if k > len(d.sum) {
 		k = len(d.sum)
 	}
+	if d.final != nil {
+		for i := d.pendOff; i < d.pendOff+k; i++ {
+			d.final = append(d.final, d.avg(i))
+		}
+	}
 	d.sum = d.sum[:copy(d.sum, d.sum[k:])]
 	d.cnt = d.cnt[:copy(d.cnt, d.cnt[k:])]
 	d.pendOff = p
@@ -687,8 +696,7 @@ func (d *Detector) trimTo(p int) {
 // Curve returns the retained stitched ensemble curve and the stream
 // position of its first value. The retained region spans at most the ring
 // buffer plus the Window-1 points before it; with the default hop it is
-// byte-identical to the corresponding suffix of core.DetectChunked's
-// stitched curve.
+// the corresponding suffix of StitchedCurve over the same points.
 func (d *Detector) Curve() (start int, curve []float64) {
 	start = d.total - d.buffered() - (d.cfg.Window - 1)
 	if start < d.pendOff {
@@ -702,6 +710,28 @@ func (d *Detector) Curve() (start int, curve []float64) {
 		curve[i] = d.avg(start + i)
 	}
 	return start, curve
+}
+
+// StitchedCurve pushes the whole series through a fresh detector built
+// from cfg, flushes it, and returns the stitched curve over every point:
+// the chunk-and-stitch form of the batch detector (egi.DetectChunked),
+// with chunks of BufLen points. Each value is collected as trimming
+// finalizes it, so what stays resident is the ring, one stitch region and
+// the returned curve.
+func StitchedCurve(series []float64, cfg Config) ([]float64, error) {
+	d, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	d.final = make([]float64, 0, len(series))
+	if err := d.PushBatch(series); err != nil {
+		return nil, err
+	}
+	if err := d.Flush(); err != nil {
+		return nil, err
+	}
+	d.trimTo(d.covered) // hands the rest of the stitched region to d.final
+	return d.final, nil
 }
 
 // Anomalies ranks the top-K anomalies over the retained stitched curve —

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"egi/internal/core"
+	"egi/internal/engine"
 	"egi/internal/timeseries"
 )
 
@@ -86,9 +87,9 @@ func TestSingleRunMatchesDetect(t *testing.T) {
 }
 
 // TestDefaultHopMatchesDetectChunked: with the default hop the stitched
-// retained curve equals the corresponding suffix of core.DetectChunked's
-// curve bit-for-bit, for several stream lengths including exact chunk
-// multiples and short tails.
+// retained curve equals the corresponding suffix of the batch
+// chunk-and-stitch oracle's curve bit-for-bit, for several stream lengths
+// including exact chunk multiples and short tails.
 func TestDefaultHopMatchesDetectChunked(t *testing.T) {
 	const (
 		period = 40
@@ -113,7 +114,7 @@ func TestDefaultHopMatchesDetectChunked(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		chunked, err := core.DetectChunked(timeseries.Series(series), core.Config{
+		chunked, _, err := DetectChunkedOracle(series, engine.Config{
 			Window: period, Size: 10, Seed: 5,
 		}, bufLen)
 		if err != nil {
@@ -126,8 +127,8 @@ func TestDefaultHopMatchesDetectChunked(t *testing.T) {
 				length, start, start+len(curve), length)
 		}
 		for i, v := range curve {
-			if v != chunked.Curve[start+i] {
-				t.Fatalf("len=%d: curve[%d] = %v, chunked %v", length, start+i, v, chunked.Curve[start+i])
+			if v != chunked[start+i] {
+				t.Fatalf("len=%d: curve[%d] = %v, chunked %v", length, start+i, v, chunked[start+i])
 			}
 		}
 	}

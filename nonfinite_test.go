@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"egi"
+	"egi/internal/timeseries"
 )
 
 // nonFiniteSeries injects NaN and ±Inf points into a copy of the
@@ -20,6 +21,23 @@ func nonFiniteSeries() (corrupted []float64, injected []int) {
 		injected = append(injected, i)
 	}
 	return corrupted, injected
+}
+
+// TestDetectChunkedNonFinite: DetectChunked rejects NaN and ±Inf points
+// on both of its paths — chunked (chunkLen < len) and the chunkLen >= len
+// shortcut to Detect — rather than letting one poison the curve.
+func TestDetectChunkedNonFinite(t *testing.T) {
+	series := quickstartSeries()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := append([]float64(nil), series...)
+		s[len(s)/2] = bad
+		for _, chunkLen := range []int{len(s) / 4, len(s)} {
+			_, err := egi.DetectChunked(s, egi.Options{Window: 80, EnsembleSize: 5}, chunkLen)
+			if !errors.Is(err, timeseries.ErrNonFinite) {
+				t.Errorf("point %v, chunkLen %d: err = %v, want ErrNonFinite", bad, chunkLen, err)
+			}
+		}
+	}
 }
 
 // TestStreamNonFiniteReject: the default policy fails the batch at the
