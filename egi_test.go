@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"egi"
+	"egi/internal/gen"
 )
 
 func synthetic(length, period, anomalyPos int, seed int64) []float64 {
@@ -168,5 +169,27 @@ func TestDetectDeterministic(t *testing.T) {
 		if r1.Anomalies[i] != r2.Anomalies[i] {
 			t.Fatalf("anomaly %d differs", i)
 		}
+	}
+}
+
+// TestDetectAllocations guards the batch detector's allocation profile:
+// Detect at the paper's defaults on a 20k-point ECG-like series must stay
+// at or below 10 allocations per point. Word ids in the SAX pipelines and
+// the pointer-free grammar arena measured 4.8 when this bound was set;
+// string tokens and pointer-linked grammar nodes measured 29.
+func TestDetectAllocations(t *testing.T) {
+	series, err := gen.ECG(20000, 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(2, func() {
+		if _, err := egi.Detect(series, egi.Options{Window: 100}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perPoint := avg / float64(len(series))
+	t.Logf("Detect: %.0f allocs, %.2f per point", avg, perPoint)
+	if perPoint > 10 {
+		t.Errorf("Detect allocates %.2f objects per point, budget 10", perPoint)
 	}
 }

@@ -268,7 +268,9 @@ type group struct {
 // epoch's tokens, the global window position of every token fed (aligned
 // with the builder's token indices — what maps rule occurrences back to
 // stream positions), and the epoch bookkeeping driving the rebase
-// schedule.
+// schedule. The builder holds word ids of the member's pipeline
+// dictionary; it is created at the member's first rebase, sized from that
+// epoch's token count, and is nil until then.
 type memberState struct {
 	b     *sequitur.Builder
 	pos   []int // global window start per fed token
@@ -436,7 +438,7 @@ func (e *Engine) prepare(src Source, start int, seed int64) []sax.Params {
 		e.seqSel = append(e.seqSel, seq)
 		st, ok := e.induct[p]
 		if !ok {
-			st = &memberState{b: sequitur.NewBuilder()}
+			st = &memberState{}
 			e.induct[p] = st
 		}
 		e.inductSel = append(e.inductSel, st)
@@ -570,22 +572,53 @@ func (e *Engine) runMember(i int, p sax.Params, start, end int) {
 // fed-position record rebuilt in global coordinates. The first covering
 // token may start before the anchor; it stands in for the run it was cut
 // out of, so it is re-anchored to the anchor itself.
+//
+// A rebase is the one moment the builder holds no ids of the pipeline's
+// dictionary, so it is also where the dictionary is compacted once it has
+// outgrown the retained tokens (2× plus a constant): between rebases it
+// grows only by the words of the windows encoded since the last one.
 func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anchor, lastWin int) error {
 	toks, err := seq.Covering(anchor, lastWin)
 	if err != nil {
 		return err
 	}
-	st.b.Reset()
+	if seq.VocabLen() > 2*seq.Len()+64 {
+		seq.Compact() // renumbers toks in place
+	}
+	if rebaseHook != nil {
+		rebaseHook(seq.VocabLen(), seq.Len())
+	}
+	if st.b == nil {
+		st.b = sequitur.NewBuilderSize(len(toks))
+	} else {
+		st.b.Reset()
+	}
 	if cap(st.pos) < len(toks) {
 		st.pos = make([]int, 0, len(toks))
 	}
 	st.pos = append(st.pos[:0], anchor)
-	st.b.Push(toks[0].Word)
+	st.b.PushID(toks[0].ID)
 	for _, tk := range toks[1:] {
-		st.b.Push(tk.Word)
+		st.b.PushID(tk.ID)
 		st.pos = append(st.pos, tk.Pos)
 	}
 	return nil
+}
+
+// rebaseHook, when non-nil, observes every rebase: the member pipeline's
+// dictionary size and retained token count right after rebuildInduction
+// compacted it. Tests install it with SetRebaseHook.
+var rebaseHook func(vocab, retained int)
+
+// SetRebaseHook installs fn as the rebase observer (nil removes it) and
+// returns a function that restores the previous one. It is a test seam for
+// the pipelines' dictionary bound: fn is called from the engines' member
+// tasks, concurrently, so it must be safe for concurrent use, and it must
+// not be swapped while any engine is running.
+func SetRebaseHook(fn func(vocab, retained int)) (restore func()) {
+	prev := rebaseHook
+	rebaseHook = fn
+	return func() { rebaseHook = prev }
 }
 
 // advanceInduction brings one member's resumable induction state up to
@@ -600,7 +633,7 @@ func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anch
 // member's state, so members advance concurrently.
 func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, start, lastWin int) error {
 	spanW := lastWin - start + 1
-	fresh := st.b.Len() == 0
+	fresh := st.b == nil || st.b.Len() == 0
 	// A gap in the fed windows (the span grid jumped past the default
 	// stride, or the member's pipeline lost the history it would need)
 	// forces a rebase: the epoch's token sequence must stay contiguous.
@@ -634,17 +667,19 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, star
 		if err != nil {
 			return err
 		}
-		last, _ := st.b.LastWord()
+		// Ids compare like the words they stand for: a pipeline reset
+		// keeps its dictionary, and compaction happens only at a rebase.
+		last, _ := st.b.LastID()
 		for _, tk := range suffix {
-			if tk.Word == last {
+			if tk.ID == last {
 				// A re-emitted run head at a pipeline reset seam (the
 				// numerosity run restarted mid-word); the canonical
 				// continuation of the epoch's sequence skips it.
 				continue
 			}
-			st.b.Push(tk.Word)
+			st.b.PushID(tk.ID)
 			st.pos = append(st.pos, tk.Pos)
-			last = tk.Word
+			last = tk.ID
 		}
 	}
 	if lastWin > st.fedTo {
@@ -725,7 +760,10 @@ func (e *Engine) computeFootprint() int64 {
 		total += seq.MemoryBytes()
 	}
 	for _, st := range e.induct {
-		total += st.b.MemoryBytes() + int64(cap(st.pos))*8
+		if st.b != nil {
+			total += st.b.MemoryBytes()
+		}
+		total += int64(cap(st.pos)) * 8
 	}
 	const sliceHeader, stringHeader, memberCurveSize = 24, 16, 48
 	for _, m := range e.curves[:cap(e.curves)] {
@@ -754,8 +792,9 @@ type PipeState struct {
 
 // InductState is the portable form of one member's resumable induction
 // state. The grammar itself is not walked: a Sequitur grammar is a lossless
-// encoding of its pushed token sequence, so Words (the expanded sequence)
-// plus a deterministic re-induction reproduce it exactly.
+// encoding of its pushed token sequence, so Words (the expanded sequence,
+// ids rendered through the member pipeline's dictionary) plus a
+// deterministic re-induction reproduce it exactly.
 type InductState struct {
 	// Params is the member's (w, a) combination.
 	Params sax.Params
@@ -784,21 +823,32 @@ type State struct {
 	Induct []InductState
 }
 
-// State captures the engine's resumable state for serialization.
+// State captures the engine's resumable state for serialization. Word ids
+// are rendered back into words, so the state holds no engine-internal
+// numbering.
 func (e *Engine) State() State {
 	st := State{LastEnd: e.lastEnd}
 	for p, seq := range e.pipes {
 		st.Pipes = append(st.Pipes, PipeState{Params: p, Seq: seq.State()})
 	}
+	var ids []int32
 	for p, ms := range e.induct {
-		st.Induct = append(st.Induct, InductState{
+		is := InductState{
 			Params: p,
 			Base:   ms.base,
 			FedTo:  ms.fedTo,
 			Runs:   ms.runs,
 			Pos:    append([]int(nil), ms.pos...),
-			Words:  ms.b.AppendSequence(nil),
-		})
+		}
+		if ms.b != nil && ms.b.Len() > 0 {
+			seq := e.pipes[p]
+			ids = ms.b.AppendIDs(ids[:0])
+			is.Words = make([]string, len(ids))
+			for i, id := range ids {
+				is.Words[i] = seq.Word(id)
+			}
+		}
+		st.Induct = append(st.Induct, is)
 	}
 	sortParams := func(a, b sax.Params) bool { return a.W < b.W || (a.W == b.W && a.A < b.A) }
 	sort.Slice(st.Pipes, func(i, j int) bool { return sortParams(st.Pipes[i].Params, st.Pipes[j].Params) })
@@ -809,7 +859,8 @@ func (e *Engine) State() State {
 // RestoreState rebinds the engine to src and reinstates a captured state:
 // pipelines are reconstructed from their token records and induction
 // grammars re-induced from their fed sequences (bit-identical to the
-// captured grammars, by the resumable property). The engine must be freshly
+// captured grammars, by the resumable property), each word interned through
+// its member pipeline's dictionary. The engine must be freshly
 // constructed with the same configuration the state was captured under;
 // subsequent DetectSpan calls continue exactly where the captured engine
 // left off.
@@ -824,15 +875,21 @@ func (e *Engine) RestoreState(src Source, st State) error {
 		if len(is.Pos) != len(is.Words) {
 			return fmt.Errorf("engine: induction state %v: %d positions, %d words", is.Params, len(is.Pos), len(is.Words))
 		}
+		seq, ok := e.pipes[is.Params]
+		if !ok {
+			return fmt.Errorf("engine: induction state %v has no pipeline", is.Params)
+		}
 		ms := &memberState{
-			b:     sequitur.NewBuilder(),
 			pos:   append([]int(nil), is.Pos...),
 			base:  is.Base,
 			fedTo: is.FedTo,
 			runs:  is.Runs,
 		}
-		for _, w := range is.Words {
-			ms.b.Push(w)
+		if len(is.Words) > 0 {
+			ms.b = sequitur.NewBuilderSize(len(is.Words))
+			for _, w := range is.Words {
+				ms.b.PushID(seq.Intern(w))
+			}
 		}
 		e.induct[is.Params] = ms
 	}

@@ -175,9 +175,9 @@ func spanTokens(dst []Token, seq *IncrementalSeq, startWin, endWin int) ([]Token
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, Token{Word: toks[0].Word, Pos: 0})
+	dst = append(dst, Token{Word: seq.Word(toks[0].ID), Pos: 0})
 	for _, t := range toks[1:] {
-		dst = append(dst, Token{Word: t.Word, Pos: t.Pos - startWin})
+		dst = append(dst, Token{Word: seq.Word(t.ID), Pos: t.Pos - startWin})
 	}
 	return dst, nil
 }
@@ -230,7 +230,7 @@ func TestIncrementalSeqReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 1 || toks[0] != (Token{Word: "ba", Pos: 10}) {
+	if len(toks) != 1 || seq.Word(toks[0].ID) != "ba" || toks[0].Pos != 10 {
 		t.Fatalf("covering tokens %v", toks)
 	}
 	// Asking for a span the sequence does not cover errors.

@@ -21,20 +21,47 @@ import (
 // from-scratch word-per-window pass over the span — the first retained
 // token stands in for the run it was cut out of, exactly as Discretize
 // would have emitted it.
+//
+// Words are integers inside the pipeline: each distinct word gets a dense
+// int32 id from a per-pipeline dictionary, and tokens carry ids (IDToken).
+// Append compares the incoming word with the previous window's dictionary
+// entry and consults the dictionary only when the word changes, so the
+// steady state allocates nothing; strings are rendered only where a word
+// leaves the engine (State, Word). Ids only ever compare for equality, and
+// an id stays valid for the pipeline's lifetime until Compact renumbers
+// them. Reset keeps the dictionary, because the consumer of the pipeline's
+// ids (the member's grammar builder) may still hold them. The dictionary
+// therefore grows by each induction epoch's new words until the consumer
+// calls Compact, which it does right before it discards every id it holds
+// (the detection engine: at each rebase, once the vocabulary exceeds twice
+// the retained tokens plus 64).
 type IncrementalSeq struct {
-	params    Params
-	tokens    []Token // ascending global Pos; tokens[i].Pos < next
-	prev      string  // word of the last appended window (empty before any)
-	next      int     // global index of the next window to encode
-	empty     bool    // no windows appended since the last reset
-	wordBytes int64   // total len(Word) over retained tokens
-	trimmed   int     // positions below this may have incomplete history
+	params  Params
+	tokens  []IDToken // ascending global Pos; tokens[i].Pos < next
+	prev    int32     // id of the last appended window's word; -1 before any
+	next    int       // global index of the next window to encode
+	empty   bool      // no windows appended since the last reset
+	trimmed int       // positions below this may have incomplete history
+
+	// Dictionary: ids maps a word to its id, words maps it back. wordBytes
+	// is the total length of the dictionary's words.
+	ids       map[string]int32
+	words     []string
+	wordBytes int64
+}
+
+// IDToken is one numerosity-reduced token of an IncrementalSeq: the id of
+// its word in the pipeline's dictionary (see IncrementalSeq.Word) and the
+// global start position of the first window that produced it.
+type IDToken struct {
+	ID  int32
+	Pos int
 }
 
 // NewIncrementalSeq creates an empty sequence for one (w, a) member,
 // positioned to encode global window startWin first.
 func NewIncrementalSeq(p Params, startWin int) *IncrementalSeq {
-	return &IncrementalSeq{params: p, next: startWin, empty: true, trimmed: startWin}
+	return &IncrementalSeq{params: p, prev: -1, next: startWin, empty: true, trimmed: startWin, ids: make(map[string]int32)}
 }
 
 // Params returns the member's discretization parameters.
@@ -46,43 +73,99 @@ func (s *IncrementalSeq) NextWin() int { return s.next }
 // Len returns the number of retained tokens.
 func (s *IncrementalSeq) Len() int { return len(s.tokens) }
 
-// Reset discards all state and positions the sequence at global window
-// startWin, as if freshly constructed. Used when the member fell so far
-// behind the stream that the points needed to extend it are gone.
+// Word returns the word an id of this pipeline's dictionary stands for.
+func (s *IncrementalSeq) Word(id int32) string { return s.words[id] }
+
+// VocabLen returns the number of words in the pipeline's dictionary.
+func (s *IncrementalSeq) VocabLen() int { return len(s.words) }
+
+// Intern returns word's id, adding the word to the dictionary if it is
+// new.
+func (s *IncrementalSeq) Intern(word string) int32 {
+	if id, ok := s.ids[word]; ok {
+		return id
+	}
+	return s.add(word)
+}
+
+// add appends a word known to be absent to the dictionary.
+func (s *IncrementalSeq) add(word string) int32 {
+	id := int32(len(s.words))
+	s.words = append(s.words, word)
+	s.ids[word] = id
+	s.wordBytes += int64(len(word))
+	return id
+}
+
+// Reset discards the token state and positions the sequence at global
+// window startWin, as if freshly constructed, but keeps the dictionary:
+// ids handed out before the reset stay valid. Used when the member fell so
+// far behind the stream that the points needed to extend it are gone.
 func (s *IncrementalSeq) Reset(startWin int) {
 	s.tokens = s.tokens[:0]
-	s.prev = ""
+	s.prev = -1
 	s.next = startWin
 	s.empty = true
-	s.wordBytes = 0
 	s.trimmed = startWin
 }
 
 // Append encodes the next window (global index NextWin) from its word
 // bytes, advancing the sequence by one window and emitting a token only
 // when the word differs from the previous window's — numerosity reduction
-// with its run state carried across spans.
+// with its run state carried across spans. The steady state (a repeated
+// word, or a word already in the dictionary) does not allocate.
 func (s *IncrementalSeq) Append(word []byte) {
-	if s.empty || string(word) != s.prev {
-		w := string(word)
-		s.tokens = append(s.tokens, Token{Word: w, Pos: s.next})
-		s.prev = w
+	if s.empty || s.prev < 0 || string(word) != s.words[s.prev] {
+		id, ok := s.ids[string(word)]
+		if !ok {
+			id = s.add(string(word))
+		}
+		s.tokens = append(s.tokens, IDToken{ID: id, Pos: s.next})
+		s.prev = id
 		s.empty = false
-		s.wordBytes += int64(len(w))
 	}
 	s.next++
 }
 
-// tokenSize is the in-memory size of one Token (string header + int),
-// excluding the word bytes it points at.
-const tokenSize = 24
+// Compact rebuilds the dictionary from the words the retained tokens and
+// the run head still use, renumbering them in place; every id handed out
+// before the call is invalid after it. The token slice keeps its storage,
+// so slices returned by Covering and Suffix see the new ids.
+func (s *IncrementalSeq) Compact() {
+	remap := make(map[int32]int32, len(s.tokens)+1)
+	old := s.words
+	s.words = make([]string, 0, len(s.tokens)+1)
+	clear(s.ids)
+	s.wordBytes = 0
+	renum := func(id int32) int32 {
+		if nid, ok := remap[id]; ok {
+			return nid
+		}
+		nid := s.add(old[id])
+		remap[id] = nid
+		return nid
+	}
+	for i := range s.tokens {
+		s.tokens[i].ID = renum(s.tokens[i].ID)
+	}
+	if s.prev >= 0 {
+		s.prev = renum(s.prev)
+	}
+}
+
+// idTokenSize is the in-memory size of one IDToken (int32, padding, int);
+// dictEntrySize approximates one dictionary word's map entry plus its
+// string header in the id-to-word slice, excluding the word bytes.
+const (
+	idTokenSize   = 16
+	dictEntrySize = 48
+)
 
 // MemoryBytes is the sequence's retained-memory accounting: the token
 // backing array (at capacity, since trimmed slices keep their storage) plus
-// the word bytes the retained tokens own. Maintained incrementally, so the
-// call is O(1).
+// the dictionary, its word bytes included. O(1).
 func (s *IncrementalSeq) MemoryBytes() int64 {
-	return int64(cap(s.tokens))*tokenSize + s.wordBytes
+	return int64(cap(s.tokens))*idTokenSize + int64(len(s.words))*dictEntrySize + s.wordBytes
 }
 
 // TrimBefore drops tokens that can no longer be the covering token of any
@@ -95,7 +178,6 @@ func (s *IncrementalSeq) TrimBefore(win int) {
 	}
 	k := 0
 	for k+1 < len(s.tokens) && s.tokens[k+1].Pos <= win {
-		s.wordBytes -= int64(len(s.tokens[k].Word))
 		k++
 	}
 	if k > 0 {
@@ -117,7 +199,7 @@ func (s *IncrementalSeq) TrimmedTo() int { return s.trimmed }
 // and the caller must have established afterWin >= TrimmedTo()-1, so that
 // no token in the range has been trimmed away. The returned slice aliases
 // the sequence's storage and is valid until the next Append or TrimBefore.
-func (s *IncrementalSeq) Suffix(afterWin, endWin int) ([]Token, error) {
+func (s *IncrementalSeq) Suffix(afterWin, endWin int) ([]IDToken, error) {
 	if s.empty || s.next <= endWin {
 		return nil, fmt.Errorf("sax: sequence %v covers windows up to %d, suffix needs %d", s.params, s.next-1, endWin)
 	}
@@ -146,35 +228,47 @@ type SeqState struct {
 	Tokens []Token
 }
 
-// State captures the sequence for serialization. The returned state copies
-// the token slice header into fresh storage so it stays valid across
-// further Appends; the word strings are shared (immutable).
+// State captures the sequence for serialization, rendering every id back
+// into its word. The returned state owns fresh token storage, so it stays
+// valid across further Appends; the word strings are shared (immutable).
 func (s *IncrementalSeq) State() SeqState {
-	return SeqState{
+	st := SeqState{
 		Params:  s.params,
 		Next:    s.next,
-		Prev:    s.prev,
 		Empty:   s.empty,
 		Trimmed: s.trimmed,
-		Tokens:  append([]Token(nil), s.tokens...),
+		Tokens:  make([]Token, len(s.tokens)),
 	}
+	if s.prev >= 0 {
+		st.Prev = s.words[s.prev]
+	}
+	for i, t := range s.tokens {
+		st.Tokens[i] = Token{Word: s.words[t.ID], Pos: t.Pos}
+	}
+	return st
 }
 
 // RestoreSeq reconstructs an IncrementalSeq from a captured state. The
 // result is behaviorally identical to the pipeline the state was captured
 // from: subsequent Appends, Suffix and Covering calls produce bit-equal
 // output.
+// Words are interned in token order, so equal states restore equal
+// dictionaries.
 func RestoreSeq(st SeqState) *IncrementalSeq {
 	s := &IncrementalSeq{
 		params:  st.Params,
-		tokens:  append([]Token(nil), st.Tokens...),
-		prev:    st.Prev,
+		tokens:  make([]IDToken, len(st.Tokens)),
+		prev:    -1,
 		next:    st.Next,
 		empty:   st.Empty,
 		trimmed: st.Trimmed,
+		ids:     make(map[string]int32),
 	}
-	for _, t := range s.tokens {
-		s.wordBytes += int64(len(t.Word))
+	for i, t := range st.Tokens {
+		s.tokens[i] = IDToken{ID: s.Intern(t.Word), Pos: t.Pos}
+	}
+	if st.Prev != "" {
+		s.prev = s.Intern(st.Prev)
 	}
 	return s
 }
@@ -188,7 +282,7 @@ func RestoreSeq(st SeqState) *IncrementalSeq {
 // sequence must already cover the span: its first token at or before
 // startWin, and NextWin() > endWin. The returned slice aliases the
 // sequence's storage and is valid until the next Append or TrimBefore.
-func (s *IncrementalSeq) Covering(startWin, endWin int) ([]Token, error) {
+func (s *IncrementalSeq) Covering(startWin, endWin int) ([]IDToken, error) {
 	if s.empty || s.next <= endWin {
 		return nil, fmt.Errorf("sax: sequence %v covers windows up to %d, span needs %d", s.params, s.next-1, endWin)
 	}

@@ -1,232 +1,255 @@
 package sequitur
 
-import "sort"
-
-// This file contains the mutable induction engine: an intrusive circular
-// doubly-linked list per rule (with a guard node), and a digram index that
-// maps a pair of adjacent symbol values to the leftmost live occurrence.
-// The structure follows the reference Sequitur implementation; the triple
+// This file contains the mutable induction engine: one circular doubly-
+// linked list per rule (with a guard node), and a digram index that maps a
+// pair of adjacent symbol values to the leftmost live occurrence. The
+// structure follows the reference Sequitur implementation; the triple
 // fix-ups in join keep the digram index correct for runs like "aaa" where
 // consecutive digrams overlap.
+//
+// The lists are an int32-linked arena: every node lives in one growable
+// slice and links to its neighbours by index, and rules live in a slice
+// indexed by rule id. Neither holds a pointer, so the garbage collector
+// never scans the induction state, and a reset recycles both slices whole.
+
+// nilNode is the link of a node not yet spliced into a list.
+const nilNode int32 = -1
 
 // node is one symbol in a rule's RHS during induction. val encodes the
 // symbol identity: terminal word ids are >= 0, rule references are encoded
-// as -(id+1) so that equal values mean equal symbols across the grammar.
+// as -(id+1) so that equal values mean equal symbols across the grammar. A
+// guard node's val is the id of the rule it heads.
 type node struct {
-	prev, next *node
-	val        int
-	rule       *irule // referenced rule (non-terminal) or owner (guard)
+	prev, next int32
+	val        int32
 	guard      bool
 }
 
 // irule is a rule under construction.
 type irule struct {
-	id    int
-	guard *node // guard.next = first RHS symbol, guard.prev = last
-	uses  int
+	guard int32 // guard node: its next is the first RHS symbol, its prev the last
+	uses  int32
+	live  bool // false once expand has inlined the rule
 }
 
-func (r *irule) first() *node { return r.guard.next }
-func (r *irule) last() *node  { return r.guard.prev }
+func ruleVal(id int32) int32 { return -(id + 1) }
 
-func ruleVal(id int) int { return -(id + 1) }
+// ruleOf returns the rule id a non-terminal's val refers to.
+func ruleOf(val int32) int32 { return -val - 1 }
 
 // digram packs a pair of adjacent symbol values into one map key. Symbol
-// values are word ids (>= 0, far below 2^31) or encoded rule ids
-// (-(id+1), bounded the same way), so each fits a uint32 half; a single
-// 8-byte key keeps the index on the runtime's fast map path, which matters
-// because the digram index dominates induction cost.
+// values are word ids (>= 0) or encoded rule ids (-(id+1)), each an int32,
+// so each fits a uint32 half; a single 8-byte key keeps the index on the
+// runtime's fast map path, which matters because the digram index
+// dominates induction cost.
 type digram uint64
 
-func packDigram(a, b int) digram {
+func packDigram(a, b int32) digram {
 	return digram(uint64(uint32(a))<<32 | uint64(uint32(b)))
 }
 
+// startRule is the id of the start rule: reset creates it first.
+const startRule int32 = 0
+
 type builder struct {
-	digrams   map[digram]*node
-	rules     map[int]*irule // live rules by id
-	nextID    int
-	start     *irule
-	wordIDs   map[string]int
+	nodes   []node  // arena
+	free    int32   // head of the dead-node list, linked through next
+	rules   []irule // by rule id; ids are never reused within an epoch
+	live    int     // rules with live set
+	digrams map[digram]int32
+
+	// Word intern table of the string-fed path (Push); the id-fed path
+	// (PushID) leaves it empty.
+	wordIDs   map[string]int32
 	words     []string
 	wordBytes int64 // total len over interned words (O(1) accounting)
-
-	// Node arena: induction creates roughly one node per input token (plus
-	// a few per rule), and allocating each individually dominated the
-	// allocation profile of the streaming hot path. Nodes are handed out
-	// of fixed-size blocks instead; the blocks stay alive in the blocks
-	// list so reset can recycle them, and dead nodes are simply abandoned
-	// between resets (Sequitur frees at most O(rules) of them, not worth a
-	// free list).
-	blocks   [][]node
-	curBlock int
-	blockAt  int
-}
-
-// nodeBlockSize is the arena granularity: one allocation per this many
-// nodes.
-const nodeBlockSize = 256
-
-func (b *builder) newNode() *node {
-	if b.curBlock == len(b.blocks) {
-		b.blocks = append(b.blocks, make([]node, nodeBlockSize))
-	}
-	n := &b.blocks[b.curBlock][b.blockAt] // zeroed: fresh block or cleared by reset
-	b.blockAt++
-	if b.blockAt == nodeBlockSize {
-		b.curBlock++
-		b.blockAt = 0
-	}
-	return n
 }
 
 // reset returns the builder to its freshly-constructed state while keeping
-// every allocation warm: the digram, rule and word-intern tables are
-// cleared in place (keeping their buckets/storage), and the used prefix of
-// the node arena is zeroed for reuse. Word ids are epoch-local — they only
+// every allocation warm: the arena and rule slices are truncated, and the
+// digram and word-intern tables are cleared in place (keeping their
+// buckets). Word ids of the string-fed path are epoch-local — they only
 // ever compare for equality, and clearing them keeps the retained
 // vocabulary bounded by one epoch's distinct words instead of growing with
 // every word ever seen on the stream.
 func (b *builder) reset() {
+	b.nodes = b.nodes[:0]
+	b.free = nilNode
+	b.rules = b.rules[:0]
+	b.live = 0
 	clear(b.digrams)
-	clear(b.rules)
 	clear(b.wordIDs)
 	b.words = b.words[:0]
 	b.wordBytes = 0
-	b.nextID = 0
-	for i := 0; i < b.curBlock; i++ {
-		clear(b.blocks[i])
-	}
-	if b.curBlock < len(b.blocks) {
-		clear(b.blocks[b.curBlock][:b.blockAt])
-	}
-	b.curBlock, b.blockAt = 0, 0
-	b.start = b.newRule()
+	b.newRule()
 }
 
 // newBuilder creates an induction engine; sizeHint is the expected input
-// length, used to presize the digram and word tables.
+// length, used to presize the arena and the digram index.
 func newBuilder(sizeHint int) *builder {
 	b := &builder{
-		digrams: make(map[digram]*node, sizeHint),
-		rules:   make(map[int]*irule),
-		wordIDs: make(map[string]int, sizeHint/2+1),
+		nodes:   make([]node, 0, sizeHint/2+2),
+		free:    nilNode,
+		digrams: make(map[digram]int32, sizeHint),
+		wordIDs: make(map[string]int32),
 	}
-	b.start = b.newRule()
+	b.newRule()
 	return b
 }
 
-func (b *builder) newRule() *irule {
-	r := &irule{id: b.nextID}
-	b.nextID++
-	g := b.newNode()
-	g.guard = true
-	g.rule = r
-	g.next, g.prev = g, g
-	r.guard = g
-	b.rules[r.id] = r
-	return r
+// newNode returns the index of an unlinked node holding val: a recycled
+// dead node if there is one, else a new one appended to the arena.
+// Appending may move the arena, so callers re-read b.nodes afterwards.
+func (b *builder) newNode(val int32) int32 {
+	if n := b.free; n != nilNode {
+		b.free = b.nodes[n].next
+		b.nodes[n] = node{prev: nilNode, next: nilNode, val: val}
+		return n
+	}
+	b.nodes = append(b.nodes, node{prev: nilNode, next: nilNode, val: val})
+	return int32(len(b.nodes) - 1)
 }
 
-func (b *builder) internWord(w string) int {
+// release puts a node that no list or index entry refers to any more on
+// the dead-node list — the points where the reference implementation
+// deletes a symbol. Induction creates about two nodes per token but keeps
+// only a fraction alive, so recycling keeps the arena near the live size.
+func (b *builder) release(n int32) {
+	b.nodes[n].next = b.free
+	b.free = n
+}
+
+func (b *builder) newRule() int32 {
+	id := int32(len(b.rules))
+	g := b.newNode(id)
+	b.nodes[g].guard = true
+	b.nodes[g].prev, b.nodes[g].next = g, g
+	b.rules = append(b.rules, irule{guard: g, live: true})
+	b.live++
+	return id
+}
+
+func (b *builder) first(r int32) int32 { return b.nodes[b.rules[r].guard].next }
+func (b *builder) last(r int32) int32  { return b.nodes[b.rules[r].guard].prev }
+
+func (b *builder) internWord(w string) int32 {
 	if id, ok := b.wordIDs[w]; ok {
 		return id
 	}
-	id := len(b.words)
+	id := int32(len(b.words))
 	b.words = append(b.words, w)
 	b.wordIDs[w] = id
 	b.wordBytes += int64(len(w))
 	return id
 }
 
-// push appends one terminal token to the start rule and restores the
-// grammar invariants.
-func (b *builder) push(tok string) {
-	n := b.newNode()
-	n.val = b.internWord(tok)
-	last := b.start.last()
+// push appends one terminal token (a word id) to the start rule and
+// restores the grammar invariants.
+func (b *builder) push(id int32) {
+	n := b.newNode(id)
+	last := b.last(startRule)
 	b.insertAfter(last, n)
-	if !last.guard {
+	if !b.nodes[last].guard {
 		b.check(last)
 	}
 }
 
 // properDigram reports whether (a, a.next) is a digram of two real symbols.
-func properDigram(a *node) bool {
-	return a != nil && !a.guard && a.next != nil && !a.next.guard
+func (b *builder) properDigram(a int32) bool {
+	if a == nilNode || b.nodes[a].guard {
+		return false
+	}
+	nx := b.nodes[a].next
+	return nx != nilNode && !b.nodes[nx].guard
 }
 
-func keyOf(a *node) digram { return packDigram(a.val, a.next.val) }
+func (b *builder) keyOf(a int32) digram {
+	return packDigram(b.nodes[a].val, b.nodes[b.nodes[a].next].val)
+}
 
 // deleteDigram removes the index entry for the digram starting at a, but
 // only if the index currently points at a (the same key may have been
 // re-registered by a different occurrence).
-func (b *builder) deleteDigram(a *node) {
-	if !properDigram(a) {
+func (b *builder) deleteDigram(a int32) {
+	if !b.properDigram(a) {
 		return
 	}
-	k := keyOf(a)
-	if b.digrams[k] == a {
+	k := b.keyOf(a)
+	if m, ok := b.digrams[k]; ok && m == a {
 		delete(b.digrams, k)
 	}
+}
+
+// triple reports whether x is the middle of three equal real symbols.
+func (b *builder) triple(x int32) bool {
+	n := &b.nodes[x]
+	if n.guard || n.prev == nilNode || n.next == nilNode {
+		return false
+	}
+	p, nx := &b.nodes[n.prev], &b.nodes[n.next]
+	return !p.guard && !nx.guard && n.val == p.val && n.val == nx.val
 }
 
 // join links l -> r, keeping the digram index consistent. When l already
 // had a successor, the digram starting at l dies; the triple fix-ups
 // re-point the index for overlapping runs such as "aaa", where removing a
 // middle symbol changes which occurrence of the (a,a) digram is canonical.
-func (b *builder) join(l, r *node) {
-	if l.next != nil {
+func (b *builder) join(l, r int32) {
+	if b.nodes[l].next != nilNode {
 		b.deleteDigram(l)
-		if !r.guard && r.prev != nil && r.next != nil && !r.prev.guard && !r.next.guard &&
-			r.val == r.prev.val && r.val == r.next.val {
-			b.digrams[keyOf(r)] = r
+		if b.triple(r) {
+			b.digrams[b.keyOf(r)] = r
 		}
-		if !l.guard && l.prev != nil && l.next != nil && !l.prev.guard && !l.next.guard &&
-			l.val == l.prev.val && l.val == l.next.val {
-			b.digrams[keyOf(l.prev)] = l.prev
+		if b.triple(l) {
+			p := b.nodes[l].prev
+			b.digrams[b.keyOf(p)] = p
 		}
 	}
-	l.next = r
-	r.prev = l
+	b.nodes[l].next = r
+	b.nodes[r].prev = l
 }
 
 // insertAfter places n immediately after pos.
-func (b *builder) insertAfter(pos, n *node) {
-	b.join(n, pos.next)
+func (b *builder) insertAfter(pos, n int32) {
+	b.join(n, b.nodes[pos].next)
 	b.join(pos, n)
 }
 
 // unlink removes n from its list, cleaning up index entries for the two
 // digrams that die with it and releasing its rule reference.
-func (b *builder) unlink(n *node) {
-	p, nx := n.prev, n.next
+func (b *builder) unlink(n int32) {
+	p, nx := b.nodes[n].prev, b.nodes[n].next
 	b.join(p, nx)
+	nd := b.nodes[n]
+	if nd.guard {
+		return
+	}
 	// The digram (n, old next) may still be indexed at n.
-	if !n.guard && !nx.guard {
-		k := packDigram(n.val, nx.val)
-		if b.digrams[k] == n {
+	if !b.nodes[nx].guard {
+		k := packDigram(nd.val, b.nodes[nx].val)
+		if m, ok := b.digrams[k]; ok && m == n {
 			delete(b.digrams, k)
 		}
 	}
-	if !n.guard && n.rule != nil {
-		n.rule.uses--
+	if nd.val < 0 {
+		b.rules[ruleOf(nd.val)].uses--
 	}
+	b.release(n)
 }
 
 // check enforces digram uniqueness for the digram starting at n. It returns
 // true when a substitution took place (and n is no longer live).
-func (b *builder) check(n *node) bool {
-	if !properDigram(n) {
+func (b *builder) check(n int32) bool {
+	if !b.properDigram(n) {
 		return false
 	}
-	k := keyOf(n)
+	k := b.keyOf(n)
 	m, ok := b.digrams[k]
 	if !ok {
 		b.digrams[k] = n
 		return false
 	}
-	if m == n || m.next == n || n.next == m {
+	if m == n || b.nodes[m].next == n || b.nodes[n].next == m {
 		// The same or an overlapping occurrence: nothing to do.
 		return false
 	}
@@ -238,54 +261,61 @@ func (b *builder) check(n *node) bool {
 // one. Either the indexed occurrence is exactly the whole RHS of an
 // existing rule (reuse it), or a fresh rule is created from the digram and
 // both occurrences are substituted.
-func (b *builder) match(n, m *node) {
-	var r *irule
-	if m.prev.guard && m.next.next.guard {
-		r = m.prev.rule
+func (b *builder) match(n, m int32) {
+	var r int32
+	if mp, mn := b.nodes[m].prev, b.nodes[m].next; b.nodes[mp].guard && b.nodes[b.nodes[mn].next].guard {
+		r = b.nodes[mp].val
 		b.substitute(n, r)
 	} else {
 		r = b.newRule()
 		// Build the rule body from copies of the matched digram.
-		c1 := b.newNode()
-		c1.val, c1.rule = m.val, m.rule
-		c2 := b.newNode()
-		c2.val, c2.rule = m.next.val, m.next.rule
-		if c1.rule != nil {
-			c1.rule.uses++
+		v1, v2 := b.nodes[m].val, b.nodes[mn].val
+		c1 := b.newNode(v1)
+		c2 := b.newNode(v2)
+		if v1 < 0 {
+			b.rules[ruleOf(v1)].uses++
 		}
-		if c2.rule != nil {
-			c2.rule.uses++
+		if v2 < 0 {
+			b.rules[ruleOf(v2)].uses++
 		}
-		b.insertAfter(r.guard, c1)
+		b.insertAfter(b.rules[r].guard, c1)
 		b.insertAfter(c1, c2)
 		b.substitute(m, r)
 		b.substitute(n, r)
-		b.digrams[keyOf(r.first())] = r.first()
+		f := b.first(r)
+		b.digrams[b.keyOf(f)] = f
 	}
 	// Rule utility: the two collapsed occurrences may leave a rule
 	// referenced from the new rule's body with only one remaining use;
 	// inline it. The reference implementation checks only the first
 	// symbol; the last symbol is symmetric, so we check it as well.
-	f := r.first()
-	if !f.guard && f.rule != nil && !f.rule.isStart(b) && f.rule.uses == 1 {
+	f := b.first(r)
+	if b.inlinable(f) {
 		b.expand(f)
 	}
-	l := r.last()
-	if !l.guard && l != f && l.rule != nil && !l.rule.isStart(b) && l.rule.uses == 1 {
+	if l := b.last(r); l != f && b.inlinable(l) {
 		b.expand(l)
 	}
 }
 
-func (r *irule) isStart(b *builder) bool { return r == b.start }
+// inlinable reports whether x references a rule other than the start rule
+// that has a single remaining use.
+func (b *builder) inlinable(x int32) bool {
+	n := b.nodes[x]
+	if n.guard || n.val >= 0 {
+		return false
+	}
+	r := ruleOf(n.val)
+	return r != startRule && b.rules[r].uses == 1
+}
 
 // substitute replaces the digram starting at n with a reference to rule r.
-func (b *builder) substitute(n *node, r *irule) {
-	q := n.prev
-	b.unlink(q.next) // n itself
-	b.unlink(q.next) // what used to be n.next
-	nt := b.newNode()
-	nt.val, nt.rule = ruleVal(r.id), r
-	r.uses++
+func (b *builder) substitute(n, r int32) {
+	q := b.nodes[n].prev
+	b.unlink(b.nodes[q].next) // n itself
+	b.unlink(b.nodes[q].next) // what used to be n.next
+	nt := b.newNode(ruleVal(r))
+	b.rules[r].uses++
 	b.insertAfter(q, nt)
 	if !b.check(q) {
 		b.check(nt)
@@ -294,57 +324,61 @@ func (b *builder) substitute(n *node, r *irule) {
 
 // expand inlines the rule referenced by n (which must have uses == 1) into
 // n's position and deletes the rule — the rule-utility constraint.
-func (b *builder) expand(n *node) {
-	r := n.rule
-	left, right := n.prev, n.next
-	f, l := r.first(), r.last()
+func (b *builder) expand(n int32) {
+	r := ruleOf(b.nodes[n].val)
+	left, right := b.nodes[n].prev, b.nodes[n].next
+	f, l := b.first(r), b.last(r)
 
 	// Digrams (left, n) and (n, right) die with n.
 	b.deleteDigram(left)
 	b.deleteDigram(n)
 	// Splice the rule body in place of n.
-	left.next = f
-	f.prev = left
-	l.next = right
-	right.prev = l
+	b.nodes[left].next = f
+	b.nodes[f].prev = left
+	b.nodes[l].next = right
+	b.nodes[right].prev = l
 	// The junction digram (l, right) becomes live; register it. (left, f)
 	// is registered by the caller's subsequent checks when applicable; the
 	// reference implementation registers only the right junction here.
-	if properDigram(l) {
-		b.digrams[keyOf(l)] = l
+	if b.properDigram(l) {
+		b.digrams[b.keyOf(l)] = l
 	}
-	delete(b.rules, r.id)
+	b.rules[r].live = false
+	b.live--
+	b.release(n)
+	b.release(b.rules[r].guard)
 }
 
 // freeze snapshots the mutable state into an immutable Grammar with dense
 // rule ids (start rule first, then in ascending original id order), and
 // computes expansion lengths.
 func (b *builder) freeze() *Grammar {
-	// Dense renumbering.
-	ids := make([]int, 0, len(b.rules))
+	// Dense renumbering: live rules in ascending id order.
+	remap := make([]int, len(b.rules))
+	dense := 0
 	for id := range b.rules {
-		ids = append(ids, id)
-	}
-	// The start rule has the smallest id (0); keep ascending order.
-	sort.Ints(ids)
-	remap := make(map[int]int, len(ids))
-	for dense, id := range ids {
-		remap[id] = dense
+		if b.rules[id].live {
+			remap[id] = dense
+			dense++
+		}
 	}
 
 	g := &Grammar{Words: append([]string(nil), b.words...)}
-	g.Rules = make([]Rule, len(ids))
-	for dense, id := range ids {
-		r := b.rules[id]
+	g.Rules = make([]Rule, 0, dense)
+	for id := range b.rules {
+		r := &b.rules[id]
+		if !r.live {
+			continue
+		}
 		var rhs []Symbol
-		for n := r.first(); !n.guard; n = n.next {
-			if n.rule != nil {
-				rhs = append(rhs, Symbol{Rule: remap[n.rule.id], Term: -1})
+		for n := b.first(int32(id)); !b.nodes[n].guard; n = b.nodes[n].next {
+			if v := b.nodes[n].val; v < 0 {
+				rhs = append(rhs, Symbol{Rule: remap[ruleOf(v)], Term: -1})
 			} else {
-				rhs = append(rhs, Symbol{Rule: -1, Term: n.val})
+				rhs = append(rhs, Symbol{Rule: -1, Term: int(v)})
 			}
 		}
-		g.Rules[dense] = Rule{RHS: rhs, Uses: r.uses}
+		g.Rules = append(g.Rules, Rule{RHS: rhs, Uses: int(r.uses)})
 	}
 	// Expansion lengths bottom-up: referenced rules always have a higher
 	// original id than... not guaranteed after reuse; do a memoized DFS.

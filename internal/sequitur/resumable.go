@@ -12,22 +12,30 @@ package sequitur
 // appends only the hop's new tokens (amortized O(hop) instead of O(span)
 // induction per run), and Reset rebases the grammar onto the live span
 // every K hops so rules anchored in expired tokens don't accumulate. Reset
-// keeps every allocation warm — arena blocks, digram/rule tables, the word
-// intern table — so even a rebase allocates almost nothing in steady state.
+// keeps every allocation warm — the node arena, the rule slice, the digram
+// and word-intern tables — so even a rebase allocates almost nothing in
+// steady state. The engine feeds the builder word ids from its
+// discretization pipeline (PushID), so the hot path never hashes a word.
 
 // Builder is a resumable Sequitur induction engine. The zero value is not
-// usable; construct with NewBuilder. A Builder is not safe for concurrent
-// use.
+// usable; construct with NewBuilder or NewBuilderSize. A Builder is fed
+// either words (Push) or integer word ids (PushID), not both between two
+// Resets. A Builder is not safe for concurrent use.
 type Builder struct {
 	b     *builder
-	count int    // tokens pushed since the last Reset
-	last  string // word of the most recently pushed token
-	memo  []int  // expansion-length scratch by live rule id; -1 = unset
+	count int     // tokens pushed since the last Reset
+	last  int32   // id of the most recently pushed token
+	memo  []int32 // expansion-length scratch by live rule id; -1 = unset
 }
 
 // NewBuilder creates an empty resumable induction engine.
-func NewBuilder() *Builder {
-	return &Builder{b: newBuilder(64)}
+func NewBuilder() *Builder { return NewBuilderSize(64) }
+
+// NewBuilderSize creates an empty resumable induction engine presized for
+// about sizeHint tokens, so a caller that knows its first epoch's length
+// does not grow the arena and digram index up from the default.
+func NewBuilderSize(sizeHint int) *Builder {
+	return &Builder{b: newBuilder(sizeHint)}
 }
 
 // Push appends one terminal token to the grammar and restores the Sequitur
@@ -35,32 +43,43 @@ func NewBuilder() *Builder {
 // the last Reset) the builder holds exactly the grammar Induce(t1..tk)
 // would produce.
 func (r *Builder) Push(word string) {
-	r.b.push(word)
+	r.PushID(r.b.internWord(word))
+}
+
+// PushID appends one terminal token given as a word id (>= 0) and restores
+// the Sequitur invariants. Ids only compare for equality: a builder fed the
+// ids of t1..tk holds the grammar Induce(t1..tk) would produce, with each
+// terminal's Term the pushed id instead of an index into Grammar.Words
+// (which stays empty). The builder does no interning on this path.
+func (r *Builder) PushID(id int32) {
+	r.b.push(id)
 	r.count++
-	r.last = word
+	r.last = id
 }
 
 // Len returns the number of tokens pushed since the last Reset.
 func (r *Builder) Len() int { return r.count }
 
-// LastWord returns the most recently pushed token's word, and whether any
-// token has been pushed since the last Reset. Streaming callers use it to
-// resume numerosity reduction at a feed seam: a candidate token equal to
-// the last pushed word is a re-emitted run head, not a new token.
-func (r *Builder) LastWord() (string, bool) { return r.last, r.count > 0 }
+// LastID returns the most recently pushed token's id (for Push, the
+// builder's own intern id), and whether any token has been pushed since
+// the last Reset. Streaming callers use it to resume numerosity reduction
+// at a feed seam: a candidate token equal to the last pushed one is a
+// re-emitted run head, not a new token.
+func (r *Builder) LastID() (int32, bool) { return r.last, r.count > 0 }
 
 // NumRules returns the number of live rules including the start rule.
-func (r *Builder) NumRules() int { return len(r.b.rules) }
+func (r *Builder) NumRules() int { return r.b.live }
 
 // Reset discards the grammar, re-anchoring the builder on an empty token
-// sequence, while keeping its allocations (node arena, hash tables, word
-// intern storage) warm for reuse. The interned vocabulary is cleared with
-// the grammar — ids are epoch-local — so retained memory is bounded by one
-// epoch's distinct words no matter how long the builder lives.
+// sequence, while keeping its allocations (node arena, rule slice, hash
+// tables, word intern storage) warm for reuse. The interned vocabulary of
+// the Push path is cleared with the grammar — ids are epoch-local — so
+// retained memory is bounded by one epoch's distinct words no matter how
+// long the builder lives.
 func (r *Builder) Reset() {
 	r.b.reset()
 	r.count = 0
-	r.last = ""
+	r.last = 0
 }
 
 // Grammar freezes the current state into an immutable Grammar, exactly as
@@ -74,27 +93,28 @@ func (r *Builder) Grammar() (*Grammar, error) {
 	return r.b.freeze(), nil
 }
 
-// AppendSequence appends the exact token sequence pushed since the last
-// Reset to dst and returns the extended slice: the start rule expanded
-// terminal by terminal. A Sequitur grammar is a lossless encoding of its
-// input, so a fresh Builder re-Pushed this sequence holds a grammar
+// AppendIDs appends the exact token sequence pushed since the last Reset,
+// as word ids, to dst and returns the extended slice: the start rule
+// expanded terminal by terminal. A Sequitur grammar is a lossless encoding
+// of its input, so a fresh Builder re-fed this sequence holds a grammar
 // identical to this one (the resumable property) — which is how the
 // durability layer serializes induction state without walking the graph:
 // snapshot the sequence, restore by re-induction.
-func (r *Builder) AppendSequence(dst []string) []string {
+func (r *Builder) AppendIDs(dst []int32) []int32 {
 	if r.count == 0 {
 		return dst
 	}
-	return r.appendExpansion(dst, r.b.start)
+	return r.appendExpansion(dst, startRule)
 }
 
 // appendExpansion appends rule ru's terminal expansion, in order, to dst.
-func (r *Builder) appendExpansion(dst []string, ru *irule) []string {
-	for n := ru.first(); !n.guard; n = n.next {
-		if n.rule != nil {
-			dst = r.appendExpansion(dst, n.rule)
+func (r *Builder) appendExpansion(dst []int32, ru int32) []int32 {
+	nodes := r.b.nodes
+	for n := r.b.first(ru); !nodes[n].guard; n = nodes[n].next {
+		if v := nodes[n].val; v < 0 {
+			dst = r.appendExpansion(dst, ruleOf(v))
 		} else {
-			dst = append(dst, r.b.words[n.val])
+			dst = append(dst, v)
 		}
 	}
 	return dst
@@ -113,44 +133,49 @@ func (r *Builder) VisitOccurrencesAfter(cutoff int, fn func(ruleID, start, end i
 	if r.count == 0 {
 		return
 	}
-	// Live rule ids are dense in [0, nextID) within an epoch; a flat memo
-	// beats a map here because expLen is the visitation's inner lookup.
-	if cap(r.memo) < r.b.nextID {
-		r.memo = make([]int, r.b.nextID+r.b.nextID/2+1)
+	// Live rule ids are dense in [0, len(rules)) within an epoch; a flat
+	// memo beats a map here because expLen is the visitation's inner
+	// lookup.
+	nr := len(r.b.rules)
+	if cap(r.memo) < nr {
+		r.memo = make([]int32, nr+nr/2+1)
 	}
-	r.memo = r.memo[:r.b.nextID]
+	r.memo = r.memo[:nr]
 	for i := range r.memo {
 		r.memo[i] = -1
 	}
-	r.visit(r.b.start, 0, cutoff, fn)
+	r.visit(startRule, 0, cutoff, fn)
 }
 
 // expLen returns the number of terminals rule ru expands to, memoized in
 // r.memo for the current visitation.
-func (r *Builder) expLen(ru *irule) int {
-	if v := r.memo[ru.id]; v >= 0 {
-		return v
+func (r *Builder) expLen(ru int32) int {
+	if v := r.memo[ru]; v >= 0 {
+		return int(v)
 	}
-	r.memo[ru.id] = 0 // cycle guard; a correct grammar never has one
+	r.memo[ru] = 0 // cycle guard; a correct grammar never has one
 	total := 0
-	for n := ru.first(); !n.guard; n = n.next {
-		if n.rule != nil {
-			total += r.expLen(n.rule)
+	nodes := r.b.nodes
+	for n := r.b.first(ru); !nodes[n].guard; n = nodes[n].next {
+		if v := nodes[n].val; v < 0 {
+			total += r.expLen(ruleOf(v))
 		} else {
 			total++
 		}
 	}
-	r.memo[ru.id] = total
+	r.memo[ru] = int32(total)
 	return total
 }
 
-func (r *Builder) visit(ru *irule, offset, cutoff int, fn func(ruleID, start, end int)) {
-	for n := ru.first(); !n.guard; n = n.next {
-		if n.rule != nil {
-			l := r.expLen(n.rule)
+func (r *Builder) visit(ru int32, offset, cutoff int, fn func(ruleID, start, end int)) {
+	nodes := r.b.nodes
+	for n := r.b.first(ru); !nodes[n].guard; n = nodes[n].next {
+		if v := nodes[n].val; v < 0 {
+			sub := ruleOf(v)
+			l := r.expLen(sub)
 			if offset+l > cutoff {
-				fn(n.rule.id, offset, offset+l)
-				r.visit(n.rule, offset, cutoff, fn)
+				fn(int(sub), offset, offset+l)
+				r.visit(sub, offset, cutoff, fn)
 			}
 			offset += l
 		} else {
@@ -160,27 +185,27 @@ func (r *Builder) visit(ru *irule, offset, cutoff int, fn func(ruleID, start, en
 }
 
 // Per-entry accounting constants for MemoryBytes: the in-memory size of an
-// arena node, and approximations for one digram-index entry, one rule-table
-// entry (header plus the irule it points at), and one word-intern entry
-// (map header plus the []string slot), map bucket overhead included.
+// arena node and of a rule slot, and approximations for one digram-index
+// entry and one word-intern entry (map header plus the []string slot), map
+// overhead included.
 const (
-	nodeSize        = 40
-	digramEntrySize = 32
-	ruleEntrySize   = 56
+	nodeSize        = 16
+	ruleSize        = 12
+	digramEntrySize = 20
 	wordEntrySize   = 48
 )
 
 // MemoryBytes is the builder's retained-memory accounting: the node arena
-// at capacity, the digram and rule tables at their live sizes, the word
+// and rule slice at capacity, the digram table at its live size, the word
 // intern table including the interned bytes, and the visitation scratch.
 // Like the rest of the library's footprint accounting it is a
 // deterministic capacity-based bookkeeping of the structures the builder
 // owns, not Go allocator truth, and it is O(1) per call.
 func (r *Builder) MemoryBytes() int64 {
-	return int64(len(r.b.blocks))*nodeBlockSize*nodeSize +
+	return int64(cap(r.b.nodes))*nodeSize +
+		int64(cap(r.b.rules))*ruleSize +
 		int64(len(r.b.digrams))*digramEntrySize +
-		int64(len(r.b.rules))*ruleEntrySize +
 		int64(len(r.b.words))*wordEntrySize +
 		r.b.wordBytes +
-		int64(cap(r.memo))*8
+		int64(cap(r.memo))*4
 }

@@ -8,10 +8,14 @@
 //   - rule utility — every rule other than the start rule is used at least
 //     twice.
 //
-// The induction works on an intrusive doubly-linked list of symbols with a
-// digram index, exactly as in the reference implementation; the result is
-// then frozen into an immutable Grammar value that the rest of the library
-// (rule density curves, anomaly ranking) consumes.
+// The induction runs the reference implementation's algorithm — a doubly-
+// linked list of symbols per rule plus a digram index — on an int32-linked
+// arena: nodes and rules live in flat slices and link by index, so the
+// state holds no pointers for the garbage collector to scan. Words enter as
+// strings (Induce, Builder.Push) or as integer ids (Builder.PushID, the
+// detection engine's path). The result is frozen into an immutable Grammar
+// value that the rest of the library (rule density curves, anomaly
+// ranking) consumes.
 package sequitur
 
 import (
@@ -150,7 +154,7 @@ func Induce(tokens []string) (*Grammar, error) {
 	}
 	b := newBuilder(len(tokens))
 	for _, tok := range tokens {
-		b.push(tok)
+		b.push(b.internWord(tok))
 	}
 	return b.freeze(), nil
 }

@@ -1,7 +1,12 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
+	"sync/atomic"
 	"testing"
+
+	"egi/internal/engine"
 )
 
 // TestMemoryFootprintPlateaus: under sustained pushing the detector's
@@ -168,5 +173,76 @@ func TestMemoryFootprintCountsComponents(t *testing.T) {
 	ring := d.ring.MemoryBytes()
 	if warm < ring {
 		t.Fatalf("footprint %d smaller than its ring component %d", warm, ring)
+	}
+}
+
+// TestMemoryFootprintPlateausHighEntropy: the plateau guarantee on a
+// stream whose vocabulary never settles. A sine through a 4×4 grid yields
+// at most 256 distinct words, so it cannot catch a per-pipeline word
+// dictionary that never shrinks; a random walk with noise through the
+// paper's 9×9 grid keeps producing new words for as long as it runs. At
+// the default hop and at hop 100 the footprint must converge, and right
+// after every rebase each member pipeline's dictionary must be compacted
+// to at most twice its retained tokens plus 64 words.
+func TestMemoryFootprintPlateausHighEntropy(t *testing.T) {
+	const (
+		window  = 100
+		bufLen  = 1000
+		batch   = 2000
+		batches = 60
+	)
+	rng := rand.New(rand.NewSource(17))
+	series := make([]float64, batch*batches)
+	walk := 0.0
+	for i := range series {
+		walk += rng.NormFloat64()
+		series[i] = walk + 0.5*rng.NormFloat64()
+	}
+
+	var rebases, violations atomic.Int64
+	var worst atomic.Value // string: the first violation seen
+	defer engine.SetRebaseHook(func(vocab, retained int) {
+		rebases.Add(1)
+		if vocab > 2*retained+64 && violations.Add(1) == 1 {
+			worst.Store(fmt.Sprintf("vocabulary %d with %d retained tokens", vocab, retained))
+		}
+	})()
+
+	for _, hop := range []int{0, 100} {
+		rebases.Store(0)
+		d, err := New(Config{Window: window, BufLen: bufLen, Hop: hop, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The footprint follows the data — live digram and dictionary
+		// entries rise and fall with the walk's local entropy — so it
+		// fluctuates around its plateau rather than ratcheting up to it.
+		// Converged means the second half's mean is no higher than the
+		// first half's (after two warm-up batches), and no spike in the
+		// second half exceeds the first half's peak by more than 10%.
+		var sum, peak [2]float64
+		for b := 0; b < batches; b++ {
+			if err := d.PushBatch(series[b*batch : (b+1)*batch]); err != nil {
+				t.Fatal(err)
+			}
+			if b < 2 {
+				continue
+			}
+			half, got := b*2/batches, float64(d.MemoryFootprint())
+			sum[half] += got
+			peak[half] = max(peak[half], got)
+		}
+		mean := [2]float64{sum[0] / (batches/2 - 2), sum[1] / (batches / 2)}
+		t.Logf("hop %d: footprint mean %.2f MB then %.2f MB, peak %.2f MB then %.2f MB; %d rebases",
+			hop, mean[0]/1e6, mean[1]/1e6, peak[0]/1e6, peak[1]/1e6, rebases.Load())
+		if mean[1] > mean[0]*1.05 || peak[1] > peak[0]*1.10 {
+			t.Errorf("hop %d: footprint still growing: mean %.0f then %.0f, peak %.0f then %.0f", hop, mean[0], mean[1], peak[0], peak[1])
+		}
+		if rebases.Load() == 0 {
+			t.Errorf("hop %d: no rebase observed", hop)
+		}
+	}
+	if n := violations.Load(); n > 0 {
+		t.Fatalf("%d rebases left an uncompacted dictionary, first: %s", n, worst.Load())
 	}
 }
