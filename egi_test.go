@@ -174,8 +174,8 @@ func TestDetectDeterministic(t *testing.T) {
 
 // TestDetectAllocations guards the batch detector's allocation profile:
 // Detect at the paper's defaults on a 20k-point ECG-like series must stay
-// at or below 10 allocations per point. Word ids in the SAX pipelines and
-// the pointer-free grammar arena measured 4.8 when this bound was set;
+// at or below 2 allocations per point. Word ids in the SAX pipelines and
+// the pointer-free grammar arena measured 0.3 when this bound was set;
 // string tokens and pointer-linked grammar nodes measured 29.
 func TestDetectAllocations(t *testing.T) {
 	series, err := gen.ECG(20000, 100, 1)
@@ -189,7 +189,7 @@ func TestDetectAllocations(t *testing.T) {
 	})
 	perPoint := avg / float64(len(series))
 	t.Logf("Detect: %.0f allocs, %.2f per point", avg, perPoint)
-	if perPoint > 10 {
-		t.Errorf("Detect allocates %.2f objects per point, budget 10", perPoint)
+	if perPoint > 2 {
+		t.Errorf("Detect allocates %.2f objects per point, budget 2", perPoint)
 	}
 }

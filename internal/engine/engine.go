@@ -321,6 +321,8 @@ type Engine struct {
 	// that can change what the engine retains.
 	footprint int64
 	fpOK      bool
+
+	onRebase func(vocab, retained int) // see SetRebaseHook
 }
 
 // New builds an engine for the configuration. The returned engine has no
@@ -585,8 +587,8 @@ func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anch
 	if seq.VocabLen() > 2*seq.Len()+64 {
 		seq.Compact() // renumbers toks in place
 	}
-	if rebaseHook != nil {
-		rebaseHook(seq.VocabLen(), seq.Len())
+	if e.onRebase != nil {
+		e.onRebase(seq.VocabLen(), seq.Len())
 	}
 	if st.b == nil {
 		st.b = sequitur.NewBuilderSize(len(toks))
@@ -605,21 +607,13 @@ func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anch
 	return nil
 }
 
-// rebaseHook, when non-nil, observes every rebase: the member pipeline's
-// dictionary size and retained token count right after rebuildInduction
-// compacted it. Tests install it with SetRebaseHook.
-var rebaseHook func(vocab, retained int)
-
-// SetRebaseHook installs fn as the rebase observer (nil removes it) and
-// returns a function that restores the previous one. It is a test seam for
-// the pipelines' dictionary bound: fn is called from the engines' member
-// tasks, concurrently, so it must be safe for concurrent use, and it must
-// not be swapped while any engine is running.
-func SetRebaseHook(fn func(vocab, retained int)) (restore func()) {
-	prev := rebaseHook
-	rebaseHook = fn
-	return func() { rebaseHook = prev }
-}
+// SetRebaseHook installs fn (nil removes it) as the engine's rebase
+// observer: after every member rebase it receives the member pipeline's
+// dictionary size and retained token count, right after any compaction.
+// It is a test seam for the pipelines' dictionary bound. fn runs on the
+// engine's member tasks, concurrently, so it must be safe for concurrent
+// use; install it before the engine's first span.
+func (e *Engine) SetRebaseHook(fn func(vocab, retained int)) { e.onRebase = fn }
 
 // advanceInduction brings one member's resumable induction state up to
 // date with the span whose windows are [start, lastWin]: either a rebase —
@@ -840,13 +834,9 @@ func (e *Engine) State() State {
 			Runs:   ms.runs,
 			Pos:    append([]int(nil), ms.pos...),
 		}
-		if ms.b != nil && ms.b.Len() > 0 {
-			seq := e.pipes[p]
+		if ms.b != nil {
 			ids = ms.b.AppendIDs(ids[:0])
-			is.Words = make([]string, len(ids))
-			for i, id := range ids {
-				is.Words[i] = seq.Word(id)
-			}
+			is.Words = e.pipes[p].Words(ids)
 		}
 		st.Induct = append(st.Induct, is)
 	}
@@ -869,6 +859,9 @@ func (e *Engine) RestoreState(src Source, st State) error {
 		return errors.New("engine: RestoreState needs a fresh engine")
 	}
 	for _, ps := range st.Pipes {
+		if err := checkWords(ps.Seq.Params, ps.Seq.Tokens, ps.Seq.Prev); err != nil {
+			return err
+		}
 		e.pipes[ps.Params] = sax.RestoreSeq(ps.Seq)
 	}
 	for _, is := range st.Induct {
@@ -878,6 +871,11 @@ func (e *Engine) RestoreState(src Source, st State) error {
 		seq, ok := e.pipes[is.Params]
 		if !ok {
 			return fmt.Errorf("engine: induction state %v has no pipeline", is.Params)
+		}
+		for _, w := range is.Words {
+			if !is.Params.ValidWord(w) {
+				return fmt.Errorf("engine: induction state %v: %q is not one of its words", is.Params, w)
+			}
 		}
 		ms := &memberState{
 			pos:   append([]int(nil), is.Pos...),
@@ -896,6 +894,20 @@ func (e *Engine) RestoreState(src Source, st State) error {
 	e.src = src
 	e.lastEnd = st.LastEnd
 	e.fpOK = false
+	return nil
+}
+
+// checkWords rejects a captured pipeline whose words are not SAX words of
+// its parameters; the dictionaries intern only such words.
+func checkWords(p sax.Params, toks []sax.Token, prev string) error {
+	if prev != "" && !p.ValidWord(prev) {
+		return fmt.Errorf("engine: pipeline %v: run word %q is not one of its words", p, prev)
+	}
+	for _, t := range toks {
+		if !p.ValidWord(t.Word) {
+			return fmt.Errorf("engine: pipeline %v: token %q is not one of its words", p, t.Word)
+		}
+	}
 	return nil
 }
 

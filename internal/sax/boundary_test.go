@@ -2,6 +2,8 @@ package sax
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"egi/internal/timeseries"
@@ -122,7 +124,8 @@ func TestIncrementalSeqMatchesDiscretize(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 24
-	for _, p := range []Params{{W: 4, A: 5}, {W: 7, A: 3}, {W: 1, A: 2}} {
+	// W=14 exceeds the packed-code limit: its pipeline keys words by string.
+	for _, p := range []Params{{W: 4, A: 5}, {W: 7, A: 3}, {W: 1, A: 2}, {W: 14, A: 4}} {
 		mr, err := NewMultiResolver(p.A)
 		if err != nil {
 			t.Fatal(err)
@@ -239,5 +242,61 @@ func TestIncrementalSeqReset(t *testing.T) {
 	}
 	if _, err := seq.Covering(9, 10); err == nil {
 		t.Fatal("span before first token should error")
+	}
+}
+
+// TestIncrementalSeqCompact: compaction keeps every retained token's word
+// and the run head, drops the words only trimmed tokens used, and leaves a
+// pipeline that keeps numerosity-reducing correctly — for packed-code and
+// string-keyed dictionaries alike.
+func TestIncrementalSeqCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, p := range []Params{{W: 3, A: 4}, {W: 13, A: 3}} {
+		seq := NewIncrementalSeq(p, 0)
+		word := make([]byte, p.W)
+		draw := func() {
+			for i := range word {
+				word[i] = byte('a' + rng.Intn(p.A))
+			}
+		}
+		for i := 0; i < 400; i++ {
+			if i%3 != 0 { // every third window repeats its predecessor
+				draw()
+			}
+			seq.Append(word)
+		}
+		seq.TrimBefore(300)
+		before := seq.State()
+		distinct := map[string]bool{before.Prev: true}
+		for _, tk := range before.Tokens {
+			distinct[tk.Word] = true
+		}
+		seq.Compact()
+		if got := seq.State(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%v: state changed across Compact", p)
+		}
+		if seq.VocabLen() != len(distinct) {
+			t.Fatalf("%v: vocabulary %d after Compact, want %d", p, seq.VocabLen(), len(distinct))
+		}
+		// The run head survives renumbering: repeating the last word
+		// emits nothing, a new word one token.
+		n := seq.Len()
+		seq.Append(word)
+		if seq.Len() != n {
+			t.Fatalf("%v: repeated run head emitted a token after Compact", p)
+		}
+		if word[0] == 'a' {
+			word[0] = 'b'
+		} else {
+			word[0] = 'a'
+		}
+		seq.Append(word)
+		toks, err := seq.Covering(seq.NextWin()-1, seq.NextWin()-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.Len() != n+1 || seq.Word(toks[0].ID) != string(word) {
+			t.Fatalf("%v: new word after Compact: len %d, word %q, want %d, %q", p, seq.Len(), seq.Word(toks[0].ID), n+1, word)
+		}
 	}
 }

@@ -25,9 +25,11 @@ import (
 // Words are integers inside the pipeline: each distinct word gets a dense
 // int32 id from a per-pipeline dictionary, and tokens carry ids (IDToken).
 // Append compares the incoming word with the previous window's dictionary
-// entry and consults the dictionary only when the word changes, so the
-// steady state allocates nothing; strings are rendered only where a word
-// leaves the engine (State, Word). Ids only ever compare for equality, and
+// entry and consults the dictionary only when the word changes. Words of up
+// to 12 symbols (every word of the paper's grid) are keyed by a packed
+// integer code and stored as such, so appending allocates nothing but
+// token storage; strings are rendered only where a word leaves the engine
+// (State, Word). Ids only ever compare for equality, and
 // an id stays valid for the pipeline's lifetime until Compact renumbers
 // them. Reset keeps the dictionary, because the consumer of the pipeline's
 // ids (the member's grammar builder) may still hold them. The dictionary
@@ -42,12 +44,7 @@ type IncrementalSeq struct {
 	next    int       // global index of the next window to encode
 	empty   bool      // no windows appended since the last reset
 	trimmed int       // positions below this may have incomplete history
-
-	// Dictionary: ids maps a word to its id, words maps it back. wordBytes
-	// is the total length of the dictionary's words.
-	ids       map[string]int32
-	words     []string
-	wordBytes int64
+	dict    wordDict
 }
 
 // IDToken is one numerosity-reduced token of an IncrementalSeq: the id of
@@ -61,7 +58,7 @@ type IDToken struct {
 // NewIncrementalSeq creates an empty sequence for one (w, a) member,
 // positioned to encode global window startWin first.
 func NewIncrementalSeq(p Params, startWin int) *IncrementalSeq {
-	return &IncrementalSeq{params: p, prev: -1, next: startWin, empty: true, trimmed: startWin, ids: make(map[string]int32)}
+	return &IncrementalSeq{params: p, prev: -1, next: startWin, empty: true, trimmed: startWin, dict: newWordDict(p.W)}
 }
 
 // Params returns the member's discretization parameters.
@@ -74,28 +71,14 @@ func (s *IncrementalSeq) NextWin() int { return s.next }
 func (s *IncrementalSeq) Len() int { return len(s.tokens) }
 
 // Word returns the word an id of this pipeline's dictionary stands for.
-func (s *IncrementalSeq) Word(id int32) string { return s.words[id] }
+func (s *IncrementalSeq) Word(id int32) string { return s.dict.word(id) }
 
 // VocabLen returns the number of words in the pipeline's dictionary.
-func (s *IncrementalSeq) VocabLen() int { return len(s.words) }
+func (s *IncrementalSeq) VocabLen() int { return s.dict.len() }
 
-// Intern returns word's id, adding the word to the dictionary if it is
-// new.
-func (s *IncrementalSeq) Intern(word string) int32 {
-	if id, ok := s.ids[word]; ok {
-		return id
-	}
-	return s.add(word)
-}
-
-// add appends a word known to be absent to the dictionary.
-func (s *IncrementalSeq) add(word string) int32 {
-	id := int32(len(s.words))
-	s.words = append(s.words, word)
-	s.ids[word] = id
-	s.wordBytes += int64(len(word))
-	return id
-}
+// Intern returns the id of word, which must be a word of the pipeline's
+// parameters (ValidWord), adding it to the dictionary if it is new.
+func (s *IncrementalSeq) Intern(word string) int32 { return s.dict.id([]byte(word)) }
 
 // Reset discards the token state and positions the sequence at global
 // window startWin, as if freshly constructed, but keeps the dictionary:
@@ -115,11 +98,8 @@ func (s *IncrementalSeq) Reset(startWin int) {
 // with its run state carried across spans. The steady state (a repeated
 // word, or a word already in the dictionary) does not allocate.
 func (s *IncrementalSeq) Append(word []byte) {
-	if s.empty || s.prev < 0 || string(word) != s.words[s.prev] {
-		id, ok := s.ids[string(word)]
-		if !ok {
-			id = s.add(string(word))
-		}
+	if s.empty || s.prev < 0 || !s.dict.is(s.prev, word) {
+		id := s.dict.id(word)
 		s.tokens = append(s.tokens, IDToken{ID: id, Pos: s.next})
 		s.prev = id
 		s.empty = false
@@ -132,18 +112,14 @@ func (s *IncrementalSeq) Append(word []byte) {
 // before the call is invalid after it. The token slice keeps its storage,
 // so slices returned by Covering and Suffix see the new ids.
 func (s *IncrementalSeq) Compact() {
-	remap := make(map[int32]int32, len(s.tokens)+1)
-	old := s.words
-	s.words = make([]string, 0, len(s.tokens)+1)
-	clear(s.ids)
-	s.wordBytes = 0
+	old := s.dict
+	s.dict = old.emptied()
+	remap := make([]int32, old.len()) // old id -> new id + 1; 0 = not yet seen
 	renum := func(id int32) int32 {
-		if nid, ok := remap[id]; ok {
-			return nid
+		if remap[id] == 0 {
+			remap[id] = s.dict.copyFrom(&old, id) + 1
 		}
-		nid := s.add(old[id])
-		remap[id] = nid
-		return nid
+		return remap[id] - 1
 	}
 	for i := range s.tokens {
 		s.tokens[i].ID = renum(s.tokens[i].ID)
@@ -153,19 +129,14 @@ func (s *IncrementalSeq) Compact() {
 	}
 }
 
-// idTokenSize is the in-memory size of one IDToken (int32, padding, int);
-// dictEntrySize approximates one dictionary word's map entry plus its
-// string header in the id-to-word slice, excluding the word bytes.
-const (
-	idTokenSize   = 16
-	dictEntrySize = 48
-)
+// idTokenSize is the in-memory size of one IDToken (int32, padding, int).
+const idTokenSize = 16
 
 // MemoryBytes is the sequence's retained-memory accounting: the token
 // backing array (at capacity, since trimmed slices keep their storage) plus
 // the dictionary, its word bytes included. O(1).
 func (s *IncrementalSeq) MemoryBytes() int64 {
-	return int64(cap(s.tokens))*idTokenSize + int64(len(s.words))*dictEntrySize + s.wordBytes
+	return int64(cap(s.tokens))*idTokenSize + s.dict.memoryBytes()
 }
 
 // TrimBefore drops tokens that can no longer be the covering token of any
@@ -239,19 +210,44 @@ func (s *IncrementalSeq) State() SeqState {
 		Trimmed: s.trimmed,
 		Tokens:  make([]Token, len(s.tokens)),
 	}
+	word := s.renderer()
 	if s.prev >= 0 {
-		st.Prev = s.words[s.prev]
+		st.Prev = word(s.prev)
 	}
 	for i, t := range s.tokens {
-		st.Tokens[i] = Token{Word: s.words[t.ID], Pos: t.Pos}
+		st.Tokens[i] = Token{Word: word(t.ID), Pos: t.Pos}
 	}
 	return st
 }
 
-// RestoreSeq reconstructs an IncrementalSeq from a captured state. The
-// result is behaviorally identical to the pipeline the state was captured
-// from: subsequent Appends, Suffix and Covering calls produce bit-equal
-// output.
+// Words renders ids of this pipeline's dictionary into a fresh slice of
+// their words.
+func (s *IncrementalSeq) Words(ids []int32) []string {
+	word := s.renderer()
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = word(id)
+	}
+	return out
+}
+
+// renderer returns a function rendering ids to words that builds each
+// distinct word's string once, so rendering a sequence allocates per
+// distinct word, not per token.
+func (s *IncrementalSeq) renderer() func(int32) string {
+	names := make([]string, s.dict.len())
+	return func(id int32) string {
+		if names[id] == "" {
+			names[id] = s.dict.word(id)
+		}
+		return names[id]
+	}
+}
+
+// RestoreSeq reconstructs an IncrementalSeq from a captured state, whose
+// words must all be valid for its parameters (ValidWord). The result is
+// behaviorally identical to the pipeline the state was captured from:
+// subsequent Appends, Suffix and Covering calls produce bit-equal output.
 // Words are interned in token order, so equal states restore equal
 // dictionaries.
 func RestoreSeq(st SeqState) *IncrementalSeq {
@@ -262,7 +258,7 @@ func RestoreSeq(st SeqState) *IncrementalSeq {
 		next:    st.Next,
 		empty:   st.Empty,
 		trimmed: st.Trimmed,
-		ids:     make(map[string]int32),
+		dict:    newWordDict(st.Params.W),
 	}
 	for i, t := range st.Tokens {
 		s.tokens[i] = IDToken{ID: s.Intern(t.Word), Pos: t.Pos}

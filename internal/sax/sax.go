@@ -80,6 +80,20 @@ func (p Params) Validate(n int) error {
 	return nil
 }
 
+// ValidWord reports whether word is a SAX word of the combination: w
+// symbols, each one of the alphabet's first a letters.
+func (p Params) ValidWord(word string) bool {
+	if len(word) != p.W {
+		return false
+	}
+	for i := 0; i < len(word); i++ {
+		if word[i] < 'a' || int(word[i]-'a') >= p.A {
+			return false
+		}
+	}
+	return true
+}
+
 var breakpointCache sync.Map // int -> []float64
 
 // Breakpoints returns the SAX breakpoint table row for alphabet size a:

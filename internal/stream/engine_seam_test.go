@@ -181,11 +181,11 @@ func TestSteadyStatePushAllocations(t *testing.T) {
 		})
 		perPush := avg / hop
 		t.Logf("parallelism %d, steady state: %.1f allocs per hop run, %.2f per pushed point", par, avg, perPush)
-		// One hop run = size members × (new dictionary words + bookkeeping)
-		// plus combine/rank output: 104 objects when this bound was set.
-		// String tokens and pointer-linked grammar nodes measured 911 on the
-		// identical scenario, and the pre-engine pipeline 3863 (features,
-		// token sequences, words and curves rebuilt per member per hop); the
+		// One hop run = size members × bookkeeping plus combine/rank
+		// output: 49 objects when this bound was set. String tokens and
+		// pointer-linked grammar nodes measured 911 on the identical
+		// scenario, and the pre-engine pipeline 3863 (features, token
+		// sequences, words and curves rebuilt per member per hop); the
 		// budget sits well below the string-token profile while leaving
 		// headroom for runtime-version noise.
 		if avg > 300 {

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-
-	"egi/internal/engine"
 )
 
 // TestMemoryFootprintPlateaus: under sustained pushing the detector's
@@ -201,12 +199,12 @@ func TestMemoryFootprintPlateausHighEntropy(t *testing.T) {
 
 	var rebases, violations atomic.Int64
 	var worst atomic.Value // string: the first violation seen
-	defer engine.SetRebaseHook(func(vocab, retained int) {
+	hook := func(vocab, retained int) {
 		rebases.Add(1)
 		if vocab > 2*retained+64 && violations.Add(1) == 1 {
 			worst.Store(fmt.Sprintf("vocabulary %d with %d retained tokens", vocab, retained))
 		}
-	})()
+	}
 
 	for _, hop := range []int{0, 100} {
 		rebases.Store(0)
@@ -214,6 +212,7 @@ func TestMemoryFootprintPlateausHighEntropy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		d.eng.SetRebaseHook(hook)
 		// The footprint follows the data — live digram and dictionary
 		// entries rise and fall with the walk's local entropy — so it
 		// fluctuates around its plateau rather than ratcheting up to it.

@@ -28,6 +28,11 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		if trial%3 == 0 {
 			cfg.AdaptiveQuantile = 0.05
 		}
+		if trial%4 == 1 {
+			// Words longer than 12 symbols take the string-keyed
+			// dictionary path.
+			cfg.WMax = 14
+		}
 		series := sineSeries(bufLen*3+rng.Intn(bufLen), period, rng.Int63(),
 			bufLen/2, bufLen+bufLen/3, 2*bufLen+period)
 
