@@ -178,9 +178,14 @@ func spanTokens(dst []Token, seq *IncrementalSeq, startWin, endWin int) ([]Token
 	if err != nil {
 		return dst, err
 	}
-	dst = append(dst, Token{Word: seq.Word(toks[0].ID), Pos: 0})
-	for _, t := range toks[1:] {
-		dst = append(dst, Token{Word: seq.Word(t.ID), Pos: t.Pos - startWin})
+	ids := make([]int32, len(toks))
+	for i, t := range toks {
+		ids[i] = t.ID
+	}
+	words := seq.Words(ids)
+	dst = append(dst, Token{Word: words[0], Pos: 0})
+	for i, t := range toks[1:] {
+		dst = append(dst, Token{Word: words[i+1], Pos: t.Pos - startWin})
 	}
 	return dst, nil
 }
@@ -233,7 +238,7 @@ func TestIncrementalSeqReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 1 || seq.Word(toks[0].ID) != "ba" || toks[0].Pos != 10 {
+	if len(toks) != 1 || seq.Words([]int32{toks[0].ID})[0] != "ba" || toks[0].Pos != 10 {
 		t.Fatalf("covering tokens %v", toks)
 	}
 	// Asking for a span the sequence does not cover errors.
@@ -295,8 +300,8 @@ func TestIncrementalSeqCompact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq.Len() != n+1 || seq.Word(toks[0].ID) != string(word) {
-			t.Fatalf("%v: new word after Compact: len %d, word %q, want %d, %q", p, seq.Len(), seq.Word(toks[0].ID), n+1, word)
+		if got := seq.Words([]int32{toks[0].ID})[0]; seq.Len() != n+1 || got != string(word) {
+			t.Fatalf("%v: new word after Compact: len %d, word %q, want %d, %q", p, seq.Len(), got, n+1, word)
 		}
 	}
 }

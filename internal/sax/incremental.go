@@ -29,14 +29,14 @@ import (
 // to 12 symbols (every word of the paper's grid) are keyed by a packed
 // integer code and stored as such, so appending allocates nothing but
 // token storage; strings are rendered only where a word leaves the engine
-// (State, Word). Ids only ever compare for equality, and
-// an id stays valid for the pipeline's lifetime until Compact renumbers
-// them. Reset keeps the dictionary, because the consumer of the pipeline's
-// ids (the member's grammar builder) may still hold them. The dictionary
-// therefore grows by each induction epoch's new words until the consumer
-// calls Compact, which it does right before it discards every id it holds
-// (the detection engine: at each rebase, once the vocabulary exceeds twice
-// the retained tokens plus 64).
+// (State, Words). Ids only ever compare for equality, and an id
+// stays valid until Compact renumbers the dictionary. Reset keeps the
+// dictionary, because the consumer of the pipeline's ids (the member's
+// grammar builder) may still hold them. The dictionary therefore grows by
+// each induction epoch's new words until the consumer calls Compact, which
+// it does right before it discards every id it holds (the detection
+// engine: at each rebase, once the vocabulary exceeds twice the retained
+// tokens plus 64).
 type IncrementalSeq struct {
 	params  Params
 	tokens  []IDToken // ascending global Pos; tokens[i].Pos < next
@@ -48,7 +48,7 @@ type IncrementalSeq struct {
 }
 
 // IDToken is one numerosity-reduced token of an IncrementalSeq: the id of
-// its word in the pipeline's dictionary (see IncrementalSeq.Word) and the
+// its word in the pipeline's dictionary (see IncrementalSeq.Words) and the
 // global start position of the first window that produced it.
 type IDToken struct {
 	ID  int32
@@ -69,9 +69,6 @@ func (s *IncrementalSeq) NextWin() int { return s.next }
 
 // Len returns the number of retained tokens.
 func (s *IncrementalSeq) Len() int { return len(s.tokens) }
-
-// Word returns the word an id of this pipeline's dictionary stands for.
-func (s *IncrementalSeq) Word(id int32) string { return s.dict.word(id) }
 
 // VocabLen returns the number of words in the pipeline's dictionary.
 func (s *IncrementalSeq) VocabLen() int { return s.dict.len() }
