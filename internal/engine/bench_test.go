@@ -1,0 +1,99 @@
+package engine
+
+import (
+	"testing"
+
+	"egi/internal/gen"
+	"egi/internal/sequitur"
+	"egi/internal/timeseries"
+)
+
+// Stage benchmarks of the member stage at paper scale: gen.ECG(50000, 200,
+// 1), the paper's parameter grid, Parallelism 1. They time the two halves
+// of a member's work separately, so a change to one layer shows its own
+// before/after instead of only the whole-detector figure.
+
+const (
+	stageLen    = 50000
+	stageWindow = 200
+	stageSeed   = 1
+)
+
+func stageSource(b *testing.B) *timeseries.Features {
+	b.Helper()
+	s, err := gen.ECG(stageLen, stageWindow, stageSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := timeseries.NewFeatures(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
+// preparedEngine returns a fresh engine bound to src with the whole
+// series' members drawn and grouped, ready for encode.
+func preparedEngine(b *testing.B, src *timeseries.Features) *Engine {
+	b.Helper()
+	e, err := New(Config{Window: stageWindow, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.bind(src, stageLen)
+	e.prepare(src, 0, stageSeed)
+	return e
+}
+
+// encodeAll runs every PAA-size group's encode task over the whole series.
+func encodeAll(b *testing.B, e *Engine, src *timeseries.Features) {
+	for w := range e.groups {
+		if g := &e.groups[w]; len(g.members) > 0 {
+			if err := e.encode(g, src, stageLen-stageWindow); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkEngineEncode times SAX encoding of every window for every
+// member: each PAA-size group's encode, from a fresh engine per iteration.
+func BenchmarkEngineEncode(b *testing.B) {
+	src := stageSource(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := preparedEngine(b, src)
+		b.StartTimer()
+		encodeAll(b, e, src)
+	}
+}
+
+// BenchmarkEngineInduce times grammar induction of every member over the
+// whole series: a presized Builder fed the member's covering word ids.
+func BenchmarkEngineInduce(b *testing.B) {
+	src := stageSource(b)
+	e := preparedEngine(b, src)
+	encodeAll(b, e, src)
+	feeds := make([][]int32, len(e.seqSel))
+	for i, seq := range e.seqSel {
+		toks, err := seq.Covering(0, stageLen-stageWindow)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tk := range toks {
+			feeds[i] = append(feeds[i], tk.ID)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ids := range feeds {
+			bld := sequitur.NewBuilderSize(len(ids))
+			for _, id := range ids {
+				bld.PushID(id)
+			}
+		}
+	}
+}
