@@ -259,8 +259,8 @@ type group struct {
 	members []int                 // member indices (generation order) with this PAA size
 	pending []*sax.IncrementalSeq // members' pipelines with windows to encode
 	coeffs  []float64             // PAA coefficients of the current window
-	ivals   []int                 // their breakpoint intervals
-	word    []byte                // one member's word
+	ivals   []int                 // their breakpoint intervals, the next window's hints
+	word    []byte                // one member's word, for sizes above sax.MaxPackedW
 }
 
 // memberState is one (w,a) member's resumable induction state, surviving
@@ -349,7 +349,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	groups := make([]group, wmax+1)
 	for w := 2; w <= wmax; w++ {
-		groups[w] = group{coeffs: make([]float64, w), ivals: make([]int, w), word: make([]byte, w)}
+		groups[w] = group{coeffs: make([]float64, w), ivals: make([]int, w)}
+		if w > sax.MaxPackedW {
+			groups[w].word = make([]byte, w)
+		}
 	}
 	return &Engine{
 		cfg:    cfg,
@@ -503,9 +506,12 @@ func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end 
 // encode appends every not-yet-encoded window up to lastWin to the group's
 // pipelines, sharing one FastPAA evaluation and one breakpoint resolution
 // per window across the group — the §6.2 multi-resolution fast path,
-// restated incrementally. Pipelines may resume at different windows (fresh
-// and current members share a group); each joins once the walk reaches its
-// next window.
+// restated incrementally. The resolution takes the previous window's
+// intervals as hints, and a word of up to sax.MaxPackedW symbols goes to
+// its pipeline as a packed code folded straight from the intervals, never
+// as bytes. Pipelines may resume at different windows (fresh and current
+// members share a group); each joins once the walk reaches its next
+// window.
 func (e *Engine) encode(g *group, src Source, lastWin int) error {
 	pending := g.pending[:0]
 	for _, i := range g.members {
@@ -524,6 +530,7 @@ func (e *Engine) encode(g *group, src Source, lastWin int) error {
 		return nil
 	}
 	n, w := e.cfg.Window, len(g.coeffs)
+	packed := w <= sax.MaxPackedW
 	active := 0
 	for win := pending[0].NextWin(); win <= lastWin; win++ {
 		for active < len(pending) && pending[active].NextWin() == win {
@@ -540,6 +547,10 @@ func (e *Engine) encode(g *group, src Source, lastWin int) error {
 			return err
 		}
 		for _, s := range pending[:active] {
+			if packed {
+				s.AppendCode(e.mr.CodeAt(g.ivals, s.Params().A))
+				continue
+			}
 			if err := e.mr.WordAt(g.ivals, s.Params().A, g.word); err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"egi/internal/sax"
 	"egi/internal/timeseries"
 )
 
@@ -280,5 +281,96 @@ func TestConstantSpan(t *testing.T) {
 	}
 	if _, err := e.DetectSpan(f, 0, len(series), 1); err != ErrNoUsableCurves {
 		t.Fatalf("got %v, want ErrNoUsableCurves", err)
+	}
+}
+
+// TestLongWordsMatchBatchSpans covers words longer than sax.MaxPackedW,
+// which the encoder hands to their pipelines as bytes and the pipelines
+// key by string: with WMax 14 and the ensemble drawing the whole (w, a)
+// grid, every span has members of w = 13 and 14. Driven like a stream — a
+// rolling ring, one engine across overlapping hop spans, TrimBefore after
+// each — every span equals a FromScratch engine's run over the
+// whole-series Features, and with per-span induction (RebaseEvery 1) a
+// fresh batch engine's run over the span.
+func TestLongWordsMatchBatchSpans(t *testing.T) {
+	const (
+		window = 30
+		bufLen = 240
+		hop    = 17
+		length = 900
+	)
+	series := genSeries(length, window, 19)
+	f, err := timeseries.NewFeatures(series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := timeseries.NewRingFeatures(bufLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (WMax-1) × (AMax-1) = 39 members: the whole grid.
+	cfg := Config{Window: window, Size: 39, WMax: 14, AMax: 4, Seed: 8}
+	inc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratchCfg := cfg
+	scratchCfg.FromScratch = true
+	scratch, err := New(scratchCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSpanCfg := cfg
+	perSpanCfg.RebaseEvery = 1
+	perSpan, err := New(perSpanCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, runIdx := bufLen, 0
+	for i, x := range series {
+		if err := ring.Append(x); err != nil {
+			t.Fatal(err)
+		}
+		if i+1 != next {
+			continue
+		}
+		start, end := i+1-bufLen, i+1
+		spanSeed := cfg.Seed + int64(runIdx)*SeedStride
+		got, err := inc.DetectSpan(ring, start, end, spanSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		long := 0
+		for _, m := range got.Members {
+			if m.Params.W > sax.MaxPackedW {
+				long++
+			}
+		}
+		if long != 6 {
+			t.Fatalf("span [%d,%d): %d members with w > %d, want 6", start, end, long, sax.MaxPackedW)
+		}
+		want, err := scratch.DetectSpan(f, start, end, spanSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, "incremental vs FromScratch", got, want)
+		if got, err = perSpan.DetectSpan(ring, start, end, spanSeed); err != nil {
+			t.Fatal(err)
+		}
+		batch, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = batch.DetectSpan(f, start, end, spanSeed); err != nil {
+			t.Fatal(err)
+		}
+		resultsEqual(t, "hop run vs batch span", got, want)
+		inc.TrimBefore(start + hop)
+		perSpan.TrimBefore(start + hop)
+		next += hop
+		runIdx++
+	}
+	if runIdx < 10 {
+		t.Fatalf("only %d hop runs", runIdx)
 	}
 }

@@ -1,19 +1,22 @@
 package sax
 
-// maxPackedW is the longest word a dictionary keys by its packed code: 12
-// symbols of 5 bits fill 60 of a uint64's bits. Every word of the paper's
-// parameter grid (WMax = 10) is packed.
-const maxPackedW = 12
+import "egi/internal/idmap"
+
+// MaxPackedW is the longest word a pipeline's dictionary keys by its packed
+// code: 12 symbols of 5 bits fill 60 of a uint64's bits. Every word of the
+// paper's parameter grid (WMax = 10) is packed.
+const MaxPackedW = 12
 
 // wordDict is one pipeline's dictionary: word to dense int32 id and back.
 // All words of a pipeline have the same length w and symbols 'a'..'z'. A
-// dictionary for w <= maxPackedW keys each word by its packed code, so a
-// lookup hashes one integer and compares keys without following a pointer,
-// and it stores no strings at all; longer words fall back to a
-// string-keyed map.
+// dictionary for w <= MaxPackedW keys each word by its packed code in a
+// flat open-addressing table (internal/idmap, shared with Sequitur's
+// digram index), so a lookup hashes one integer and probes a slot array
+// without following a pointer, and it stores no strings at all; longer
+// words fall back to a string-keyed map.
 type wordDict struct {
 	w      int
-	byCode map[uint64]int32 // packed words
+	byCode idmap.Map        // packed words
 	codes  []uint64         // id -> code, packed words
 	byWord map[string]int32 // longer words
 	words  []string         // id -> word, longer words
@@ -21,15 +24,16 @@ type wordDict struct {
 }
 
 func newWordDict(w int) wordDict {
-	if w <= maxPackedW {
-		return wordDict{w: w, byCode: make(map[uint64]int32)}
+	if w <= MaxPackedW {
+		return wordDict{w: w}
 	}
 	return wordDict{w: w, byWord: make(map[string]int32)}
 }
 
-func (d *wordDict) packed() bool { return d.byCode != nil }
+func (d *wordDict) packed() bool { return d.w <= MaxPackedW }
 
-// pack maps a word to its code: 5 bits per symbol, 'a' as 1.
+// pack maps a word to its code: 5 bits per symbol, 'a' as 1. A code is
+// never idmap.Empty: its top four bits stay zero.
 func pack(word []byte) uint64 {
 	var code uint64
 	for _, c := range word {
@@ -45,35 +49,26 @@ func (d *wordDict) len() int {
 	return len(d.words)
 }
 
-// is reports whether id stands for word.
-func (d *wordDict) is(id int32, word []byte) bool {
-	if d.packed() {
-		return d.codes[id] == pack(word)
+// idOfCode returns the id of the packed word code, adding it if it is new.
+// It never allocates in steady state.
+func (d *wordDict) idOfCode(code uint64) int32 {
+	id, ok := d.byCode.GetOrPut(code, int32(len(d.codes)))
+	if !ok {
+		d.codes = append(d.codes, code)
 	}
-	return d.words[id] == string(word)
+	return id
 }
 
 // id returns word's id, adding the word if it is new. Only a new word of
-// more than maxPackedW symbols allocates.
+// more than MaxPackedW symbols allocates.
 func (d *wordDict) id(word []byte) int32 {
 	if d.packed() {
-		code := pack(word)
-		if id, ok := d.byCode[code]; ok {
-			return id
-		}
-		return d.addCode(code)
+		return d.idOfCode(pack(word))
 	}
 	if id, ok := d.byWord[string(word)]; ok {
 		return id
 	}
 	return d.addWord(string(word))
-}
-
-func (d *wordDict) addCode(code uint64) int32 {
-	id := int32(len(d.codes))
-	d.codes = append(d.codes, code)
-	d.byCode[code] = id
-	return id
 }
 
 func (d *wordDict) addWord(word string) int32 {
@@ -96,10 +91,10 @@ func (d *wordDict) word(id int32) string {
 	return string(b)
 }
 
-// emptied returns an empty dictionary that takes over d's maps, cleared.
+// emptied returns an empty dictionary that takes over d's tables, cleared.
 // d keeps its id slices, so copyFrom can still read its words.
 func (d *wordDict) emptied() wordDict {
-	clear(d.byCode)
+	d.byCode.Clear()
 	clear(d.byWord)
 	return wordDict{w: d.w, byCode: d.byCode, byWord: d.byWord}
 }
@@ -107,23 +102,22 @@ func (d *wordDict) emptied() wordDict {
 // copyFrom adds old's word id to d and returns its id in d.
 func (d *wordDict) copyFrom(old *wordDict, id int32) int32 {
 	if d.packed() {
-		return d.addCode(old.codes[id])
+		return d.idOfCode(old.codes[id])
 	}
 	return d.addWord(old.words[id])
 }
 
-// Per-entry accounting for memoryBytes: a packed entry is a code in the
-// id slice plus its map slot; a string entry is a string header plus its
-// map slot, excluding the word bytes. Map overhead is included.
-const (
-	packedEntrySize = 32
-	wordEntrySize   = 48
-)
+// wordEntrySize is memoryBytes' per-entry accounting of a string entry: a
+// string header plus its map slot, map overhead included, excluding the
+// word bytes.
+const wordEntrySize = 48
 
-// memoryBytes is the dictionary's retained-memory accounting. O(1).
+// memoryBytes is the dictionary's retained-memory accounting: for packed
+// words the code table's slots and the id slice at capacity, for longer
+// words the per-entry estimate plus the word bytes. O(1).
 func (d *wordDict) memoryBytes() int64 {
 	if d.packed() {
-		return int64(len(d.codes)) * packedEntrySize
+		return d.byCode.MemoryBytes() + int64(cap(d.codes))*8
 	}
 	return int64(len(d.words))*wordEntrySize + d.bytes
 }

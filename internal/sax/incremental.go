@@ -24,27 +24,29 @@ import (
 //
 // Words are integers inside the pipeline: each distinct word gets a dense
 // int32 id from a per-pipeline dictionary, and tokens carry ids (IDToken).
-// Append compares the incoming word with the previous window's dictionary
-// entry and consults the dictionary only when the word changes. Words of up
-// to 12 symbols (every word of the paper's grid) are keyed by a packed
-// integer code and stored as such, so appending allocates nothing but
-// token storage; strings are rendered only where a word leaves the engine
-// (State, Words). Ids only ever compare for equality, and an id
-// stays valid until Compact renumbers the dictionary. Reset keeps the
-// dictionary, because the consumer of the pipeline's ids (the member's
-// grammar builder) may still hold them. The dictionary therefore grows by
-// each induction epoch's new words until the consumer calls Compact, which
-// it does right before it discards every id it holds (the detection
-// engine: at each rebase, once the vocabulary exceeds twice the retained
-// tokens plus 64).
+// Words of up to MaxPackedW symbols (every word of the paper's grid) are
+// keyed by a packed integer code and stored as such. The encoder hands
+// such a word over as its code (AppendCode, fed by MultiResolver.CodeAt),
+// which is compared with the previous window's code and goes to the
+// dictionary only when the word changes, so appending allocates nothing
+// but token storage; Append takes the word's bytes, the path of longer
+// words. Strings are rendered only where a word leaves the engine (State,
+// Words). Ids only ever compare for equality, and an id stays valid until
+// Compact renumbers the dictionary. Reset keeps the dictionary, because
+// the consumer of the pipeline's ids (the member's grammar builder) may
+// still hold them. The dictionary therefore grows by each induction
+// epoch's new words until the consumer calls Compact, which it does right
+// before it discards every id it holds (the detection engine: at each
+// rebase, once the vocabulary exceeds twice the retained tokens plus 64).
 type IncrementalSeq struct {
-	params  Params
-	tokens  []IDToken // ascending global Pos; tokens[i].Pos < next
-	prev    int32     // id of the last appended window's word; -1 before any
-	next    int       // global index of the next window to encode
-	empty   bool      // no windows appended since the last reset
-	trimmed int       // positions below this may have incomplete history
-	dict    wordDict
+	params   Params
+	tokens   []IDToken // ascending global Pos; tokens[i].Pos < next
+	prev     int32     // id of the last appended window's word; -1 before any
+	prevCode uint64    // prev's packed code, for a packed dictionary
+	next     int       // global index of the next window to encode
+	empty    bool      // no windows appended since the last reset
+	trimmed  int       // positions below this may have incomplete history
+	dict     wordDict
 }
 
 // IDToken is one numerosity-reduced token of an IncrementalSeq: the id of
@@ -95,13 +97,33 @@ func (s *IncrementalSeq) Reset(startWin int) {
 // with its run state carried across spans. The steady state (a repeated
 // word, or a word already in the dictionary) does not allocate.
 func (s *IncrementalSeq) Append(word []byte) {
-	if s.empty || s.prev < 0 || !s.dict.is(s.prev, word) {
-		id := s.dict.id(word)
-		s.tokens = append(s.tokens, IDToken{ID: id, Pos: s.next})
-		s.prev = id
-		s.empty = false
+	if s.dict.packed() {
+		s.AppendCode(pack(word))
+		return
+	}
+	if s.empty || s.prev < 0 || s.dict.words[s.prev] != string(word) {
+		s.emit(s.dict.id(word))
 	}
 	s.next++
+}
+
+// AppendCode is Append for a word given as its packed code (see
+// MultiResolver.CodeAt); the pipeline's word length must be at most
+// MaxPackedW. A code equal to the previous window's costs one comparison.
+func (s *IncrementalSeq) AppendCode(code uint64) {
+	if s.empty || s.prev < 0 || code != s.prevCode {
+		s.emit(s.dict.idOfCode(code))
+		s.prevCode = code
+	}
+	s.next++
+}
+
+// emit appends a token for word id at the next window and makes it the run
+// head.
+func (s *IncrementalSeq) emit(id int32) {
+	s.tokens = append(s.tokens, IDToken{ID: id, Pos: s.next})
+	s.prev = id
+	s.empty = false
 }
 
 // Compact rebuilds the dictionary from the words the retained tokens and
@@ -262,6 +284,9 @@ func RestoreSeq(st SeqState) *IncrementalSeq {
 	}
 	if st.Prev != "" {
 		s.prev = s.Intern(st.Prev)
+		if s.dict.packed() {
+			s.prevCode = s.dict.codes[s.prev]
+		}
 	}
 	return s
 }

@@ -13,10 +13,18 @@ import (
 // binary search over the merged breakpoints (O(log amax) comparisons, the
 // paper's "at most 3 comparisons" for amax in the tens) and yields its
 // symbol for *all* alphabet sizes at once.
+//
+// The symbol matrix is one flat table of 5-bit symbol codes ('a' is 1, the
+// packed-word encoding of the pipelines' dictionaries), so CodeAt folds a
+// word's packed code straight from its intervals without materializing
+// the word; Symbol, EncodeWord and WordAt render bytes from the same
+// table. Intervals takes its destination's previous contents as hints: a
+// coefficient still inside its previous interval — the common case from
+// one sliding window to the next — resolves in two comparisons.
 type MultiResolver struct {
-	amax    int
-	merged  []float64 // distinct breakpoints of all alphabets 2..amax, sorted
-	symbols [][]byte  // symbols[k][a-2] = symbol byte of interval k under alphabet a
+	amax   int
+	merged []float64 // distinct breakpoints of all alphabets 2..amax, sorted
+	codes  []uint8   // codes[k*(amax-1)+a-2] = symbol code of interval k under alphabet a
 }
 
 // mergeTolerance treats breakpoints closer than this as identical when
@@ -52,9 +60,8 @@ func NewMultiResolver(amax int) (*MultiResolver, error) {
 	// convention that a coefficient equal to a breakpoint belongs to the
 	// interval above it. The representative of interval k>=1 is its
 	// inclusive lower bound merged[k-1]; interval 0 is (-inf, merged[0]).
-	symbols := make([][]byte, len(merged)+1)
-	for k := range symbols {
-		row := make([]byte, amax-1)
+	codes := make([]uint8, (len(merged)+1)*(amax-1))
+	for k := 0; k <= len(merged); k++ {
 		for a := 2; a <= amax; a++ {
 			var sym int
 			if k == 0 {
@@ -68,11 +75,10 @@ func NewMultiResolver(amax int) (*MultiResolver, error) {
 					return bps[i] > lower+mergeTolerance
 				})
 			}
-			row[a-2] = byte('a' + sym)
+			codes[k*(amax-1)+a-2] = uint8(sym + 1)
 		}
-		symbols[k] = row
 	}
-	return &MultiResolver{amax: amax, merged: merged, symbols: symbols}, nil
+	return &MultiResolver{amax: amax, merged: merged, codes: codes}, nil
 }
 
 // AMax returns the largest alphabet size the resolver supports.
@@ -103,7 +109,12 @@ func (m *MultiResolver) Symbol(c float64, a int) (byte, error) {
 	if a < 2 || a > m.amax {
 		return 0, fmt.Errorf("%w: a=%d (resolver amax=%d)", ErrBadAlphabet, a, m.amax)
 	}
-	return m.symbols[m.Interval(c)][a-2], nil
+	return m.symbol(m.Interval(c), a), nil
+}
+
+// symbol returns the symbol byte of interval k under alphabet size a.
+func (m *MultiResolver) symbol(k, a int) byte {
+	return 'a' - 1 + m.codes[k*(m.amax-1)+a-2]
 }
 
 // EncodeWord maps PAA coefficients to the SAX word under alphabet size a
@@ -115,9 +126,8 @@ func (m *MultiResolver) EncodeWord(coeffs []float64, a int, dst []byte) error {
 	if len(dst) != len(coeffs) {
 		return fmt.Errorf("sax: dst length %d, want %d", len(dst), len(coeffs))
 	}
-	col := a - 2
 	for i, c := range coeffs {
-		dst[i] = m.symbols[m.Interval(c)][col]
+		dst[i] = m.symbol(m.Interval(c), a)
 	}
 	return nil
 }
@@ -125,13 +135,26 @@ func (m *MultiResolver) EncodeWord(coeffs []float64, a int, dst []byte) error {
 // Intervals resolves every coefficient to its summary-line interval index,
 // writing into dst (len(coeffs) entries). Intervals depend only on the
 // coefficients, not the alphabet, so ensemble members sharing one PAA size
-// resolve once and encode each alphabet with WordAt — the §6.2.2 symbol
-// matrix split into its two halves.
+// resolve once and encode each alphabet with WordAt or CodeAt — the §6.2.2
+// symbol matrix split into its two halves.
+//
+// dst's current entries are hints: where dst[i] is still coeffs[i]'s
+// interval (merged[k-1] <= c+BoundaryTol < merged[k]) it is kept after two
+// comparisons, and anything else, an out-of-range index included, falls
+// back to Interval's binary search. The result is Interval(coeffs[i]) for
+// any hint, so a caller encoding consecutive sliding windows passes the
+// previous window's intervals back in.
 func (m *MultiResolver) Intervals(coeffs []float64, dst []int) error {
 	if len(dst) != len(coeffs) {
 		return fmt.Errorf("sax: dst length %d, want %d", len(dst), len(coeffs))
 	}
+	merged := m.merged
 	for i, c := range coeffs {
+		t := c + BoundaryTol
+		if k := dst[i]; uint(k) <= uint(len(merged)) &&
+			(k == 0 || merged[k-1] <= t) && (k == len(merged) || t < merged[k]) {
+			continue
+		}
 		dst[i] = m.Interval(c)
 	}
 	return nil
@@ -147,11 +170,28 @@ func (m *MultiResolver) WordAt(intervals []int, a int, dst []byte) error {
 	if len(dst) != len(intervals) {
 		return fmt.Errorf("sax: dst length %d, want %d", len(dst), len(intervals))
 	}
-	col := a - 2
 	for i, k := range intervals {
-		dst[i] = m.symbols[k][col]
+		dst[i] = m.symbol(k, a)
 	}
 	return nil
+}
+
+// CodeAt returns the packed code of the SAX word under alphabet size a of
+// precomputed summary-line intervals (from Intervals): 5 bits per symbol,
+// 'a' as 1, first symbol highest — the key a pipeline's dictionary stores
+// for a word of up to MaxPackedW symbols (longer words overflow the code).
+// It is the allocation-free twin of WordAt for the encoding hot path, and
+// it panics on an alphabet size outside [2, AMax()].
+func (m *MultiResolver) CodeAt(intervals []int, a int) uint64 {
+	if a < 2 || a > m.amax {
+		panic(fmt.Sprintf("sax: CodeAt alphabet %d outside [2, %d]", a, m.amax))
+	}
+	stride, col := m.amax-1, a-2
+	var code uint64
+	for _, k := range intervals {
+		code = code<<5 | uint64(m.codes[k*stride+col])
+	}
+	return code
 }
 
 // WordMatrix returns, for one vector of PAA coefficients, the SAX words for
@@ -165,11 +205,10 @@ func (m *MultiResolver) WordMatrix(coeffs []float64) []string {
 	out := make([]string, m.amax-1)
 	buf := make([]byte, len(coeffs))
 	for a := 2; a <= m.amax; a++ {
-		col := a - 2
 		for i, k := range intervals {
-			buf[i] = m.symbols[k][col]
+			buf[i] = m.symbol(k, a)
 		}
-		out[col] = string(buf)
+		out[a-2] = string(buf)
 	}
 	return out
 }

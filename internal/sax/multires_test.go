@@ -161,15 +161,15 @@ func TestMergedBreakpointsSortedDistinct(t *testing.T) {
 		// line for every alphabet size.
 		for a := 2; a <= amax; a++ {
 			prev := byte(0)
-			for k := range mr.symbols {
-				s := mr.symbols[k][a-2]
+			for k := 0; k <= len(mr.merged); k++ {
+				s := mr.symbol(k, a)
 				if s < prev {
 					t.Fatalf("amax=%d a=%d: symbols not monotone", amax, a)
 				}
 				prev = s
 			}
-			first := mr.symbols[0][a-2]
-			last := mr.symbols[len(mr.symbols)-1][a-2]
+			first := mr.symbol(0, a)
+			last := mr.symbol(len(mr.merged), a)
 			if first != 'a' {
 				t.Fatalf("amax=%d a=%d: leftmost interval symbol %q, want 'a'", amax, a, first)
 			}
@@ -180,4 +180,130 @@ func TestMergedBreakpointsSortedDistinct(t *testing.T) {
 		}
 	}
 	_ = math.Pi
+}
+
+// probeCoefficients returns coefficients around every merged breakpoint of
+// mr — on it, at ±BoundaryTol (where the tie-break flips), and at the next
+// float64 either side of each — plus extremes and random values.
+func probeCoefficients(mr *MultiResolver, rng *rand.Rand) []float64 {
+	cs := []float64{0, 1e300, -1e300, math.Inf(1), math.Inf(-1)}
+	for _, b := range mr.merged {
+		for _, c := range []float64{b, b - BoundaryTol, b + BoundaryTol} {
+			cs = append(cs, c, math.Nextafter(c, math.Inf(1)), math.Nextafter(c, math.Inf(-1)))
+		}
+	}
+	for i := 0; i < 200; i++ {
+		cs = append(cs, rng.NormFloat64()*2)
+	}
+	return cs
+}
+
+// TestHintedIntervalsMatchInterval: whatever dst holds on entry — every
+// interval index, the ones just outside the valid range, or a stale index
+// from another coefficient — Intervals writes exactly Interval(c).
+func TestHintedIntervalsMatchInterval(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, amax := range []int{2, 3, 10, 26} {
+		mr, err := NewMultiResolver(amax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := append(probeCoefficients(mr, rng), math.NaN())
+		dst := make([]int, 1)
+		for _, c := range cs {
+			want := mr.Interval(c)
+			for hint := -1; hint <= len(mr.merged)+1; hint++ {
+				dst[0] = hint
+				if err := mr.Intervals([]float64{c}, dst); err != nil {
+					t.Fatal(err)
+				}
+				if dst[0] != want {
+					t.Fatalf("amax=%d c=%v hint %d: interval %d, want %d", amax, c, hint, dst[0], want)
+				}
+			}
+		}
+		// Whole words with the previous word's intervals as hints, the
+		// encoder's sliding-window use.
+		word := make([]float64, 8)
+		hints := make([]int, len(word))
+		for trial := 0; trial < 500; trial++ {
+			for i := range word {
+				word[i] = cs[rng.Intn(len(cs))]
+			}
+			if err := mr.Intervals(word, hints); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range word {
+				if hints[i] != mr.Interval(c) {
+					t.Fatalf("amax=%d trial %d: coefficient %d interval %d, want %d", amax, trial, i, hints[i], mr.Interval(c))
+				}
+			}
+		}
+	}
+}
+
+// TestSymbolsMatchBreakpointTables: Symbol and EncodeWord agree with the
+// plain breakpoint table of every alphabet size, for every resolver size,
+// at the breakpoints, either side of the tie-break and at the extremes.
+func TestSymbolsMatchBreakpointTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for amax := 2; amax <= MaxAlphabet; amax++ {
+		mr, err := NewMultiResolver(amax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := probeCoefficients(mr, rng)
+		word := make([]byte, len(cs))
+		for a := 2; a <= amax; a++ {
+			bps, _ := Breakpoints(a)
+			if err := mr.EncodeWord(cs, a, word); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range cs {
+				want := byte('a' + SymbolFor(c, bps))
+				got, err := mr.Symbol(c, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || word[i] != want {
+					t.Fatalf("amax=%d a=%d c=%v: Symbol %q, EncodeWord %q, table %q", amax, a, c, got, word[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestCodeAtMatchesWordAt: the packed code CodeAt folds from intervals is
+// the code of the word WordAt renders from them, for every alphabet size
+// and every word length up to MaxPackedW.
+func TestCodeAtMatchesWordAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, amax := range []int{2, 5, 10, 26} {
+		mr, err := NewMultiResolver(amax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 1; w <= MaxPackedW; w++ {
+			iv := make([]int, w)
+			word := make([]byte, w)
+			for trial := 0; trial < 50; trial++ {
+				for i := range iv {
+					iv[i] = rng.Intn(len(mr.merged) + 1)
+				}
+				if trial == 0 { // the extreme intervals
+					for i := range iv {
+						iv[i] = (i % 2) * len(mr.merged)
+					}
+				}
+				for a := 2; a <= amax; a++ {
+					if err := mr.WordAt(iv, a, word); err != nil {
+						t.Fatal(err)
+					}
+					if got, want := mr.CodeAt(iv, a), pack(word); got != want {
+						t.Fatalf("amax=%d a=%d intervals %v: CodeAt %#x, packed WordAt %q = %#x", amax, a, iv, got, word, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -9,8 +9,12 @@ package sequitur
 //
 // The lists are an int32-linked arena: every node lives in one growable
 // slice and links to its neighbours by index, and rules live in a slice
-// indexed by rule id. Neither holds a pointer, so the garbage collector
-// never scans the induction state, and a reset recycles both slices whole.
+// indexed by rule id. The digram index is a flat open-addressing table
+// (internal/idmap) keyed by the packed digram. None of them holds a
+// pointer, so the garbage collector never scans the induction state, and a
+// reset recycles all three whole.
+
+import "egi/internal/idmap"
 
 // nilNode is the link of a node not yet spliced into a list.
 const nilNode int32 = -1
@@ -37,26 +41,24 @@ func ruleVal(id int32) int32 { return -(id + 1) }
 // ruleOf returns the rule id a non-terminal's val refers to.
 func ruleOf(val int32) int32 { return -val - 1 }
 
-// digram packs a pair of adjacent symbol values into one map key. Symbol
-// values are word ids (>= 0) or encoded rule ids (-(id+1)), each an int32,
-// so each fits a uint32 half; a single 8-byte key keeps the index on the
-// runtime's fast map path, which matters because the digram index
-// dominates induction cost.
-type digram uint64
-
-func packDigram(a, b int32) digram {
-	return digram(uint64(uint32(a))<<32 | uint64(uint32(b)))
+// packDigram packs a pair of adjacent symbol values into one index key.
+// Symbol values are word ids (>= 0) or encoded rule ids (-(id+1)), each an
+// int32, so each fits a uint32 half. The key is never idmap.Empty, which
+// would take two symbols of value -1: a reference to the start rule, which
+// nothing references.
+func packDigram(a, b int32) uint64 {
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 // startRule is the id of the start rule: reset creates it first.
 const startRule int32 = 0
 
 type builder struct {
-	nodes   []node  // arena
-	free    int32   // head of the dead-node list, linked through next
-	rules   []irule // by rule id; ids are never reused within an epoch
-	live    int     // rules with live set
-	digrams map[digram]int32
+	nodes   []node    // arena
+	free    int32     // head of the dead-node list, linked through next
+	rules   []irule   // by rule id; ids are never reused within an epoch
+	live    int       // rules with live set
+	digrams idmap.Map // packed digram -> node starting its indexed occurrence
 
 	// Word intern table of the string-fed path (Push); the id-fed path
 	// (PushID) leaves it empty.
@@ -67,9 +69,9 @@ type builder struct {
 
 // reset returns the builder to its freshly-constructed state while keeping
 // every allocation warm: the arena and rule slices are truncated, and the
-// digram and word-intern tables are cleared in place (keeping their
-// buckets). Word ids of the string-fed path are epoch-local — they only
-// ever compare for equality, and clearing them keeps the retained
+// digram and word-intern tables are cleared in place (keeping their slots
+// and buckets). Word ids of the string-fed path are epoch-local — they
+// only ever compare for equality, and clearing them keeps the retained
 // vocabulary bounded by one epoch's distinct words instead of growing with
 // every word ever seen on the stream.
 func (b *builder) reset() {
@@ -77,7 +79,7 @@ func (b *builder) reset() {
 	b.free = nilNode
 	b.rules = b.rules[:0]
 	b.live = 0
-	clear(b.digrams)
+	b.digrams.Clear()
 	clear(b.wordIDs)
 	b.words = b.words[:0]
 	b.wordBytes = 0
@@ -90,7 +92,7 @@ func newBuilder(sizeHint int) *builder {
 	b := &builder{
 		nodes:   make([]node, 0, sizeHint/2+2),
 		free:    nilNode,
-		digrams: make(map[digram]int32, sizeHint),
+		digrams: idmap.New(sizeHint),
 		wordIDs: make(map[string]int32),
 	}
 	b.newRule()
@@ -163,7 +165,7 @@ func (b *builder) properDigram(a int32) bool {
 	return nx != nilNode && !b.nodes[nx].guard
 }
 
-func (b *builder) keyOf(a int32) digram {
+func (b *builder) keyOf(a int32) uint64 {
 	return packDigram(b.nodes[a].val, b.nodes[b.nodes[a].next].val)
 }
 
@@ -174,10 +176,7 @@ func (b *builder) deleteDigram(a int32) {
 	if !b.properDigram(a) {
 		return
 	}
-	k := b.keyOf(a)
-	if m, ok := b.digrams[k]; ok && m == a {
-		delete(b.digrams, k)
-	}
+	b.digrams.DeleteIf(b.keyOf(a), a)
 }
 
 // triple reports whether x is the middle of three equal real symbols.
@@ -198,11 +197,11 @@ func (b *builder) join(l, r int32) {
 	if b.nodes[l].next != nilNode {
 		b.deleteDigram(l)
 		if b.triple(r) {
-			b.digrams[b.keyOf(r)] = r
+			b.digrams.Set(b.keyOf(r), r)
 		}
 		if b.triple(l) {
 			p := b.nodes[l].prev
-			b.digrams[b.keyOf(p)] = p
+			b.digrams.Set(b.keyOf(p), p)
 		}
 	}
 	b.nodes[l].next = r
@@ -226,10 +225,7 @@ func (b *builder) unlink(n int32) {
 	}
 	// The digram (n, old next) may still be indexed at n.
 	if !b.nodes[nx].guard {
-		k := packDigram(nd.val, b.nodes[nx].val)
-		if m, ok := b.digrams[k]; ok && m == n {
-			delete(b.digrams, k)
-		}
+		b.digrams.DeleteIf(packDigram(nd.val, b.nodes[nx].val), n)
 	}
 	if nd.val < 0 {
 		b.rules[ruleOf(nd.val)].uses--
@@ -243,10 +239,8 @@ func (b *builder) check(n int32) bool {
 	if !b.properDigram(n) {
 		return false
 	}
-	k := b.keyOf(n)
-	m, ok := b.digrams[k]
+	m, ok := b.digrams.GetOrPut(b.keyOf(n), n)
 	if !ok {
-		b.digrams[k] = n
 		return false
 	}
 	if m == n || b.nodes[m].next == n || b.nodes[n].next == m {
@@ -283,7 +277,7 @@ func (b *builder) match(n, m int32) {
 		b.substitute(m, r)
 		b.substitute(n, r)
 		f := b.first(r)
-		b.digrams[b.keyOf(f)] = f
+		b.digrams.Set(b.keyOf(f), f)
 	}
 	// Rule utility: the two collapsed occurrences may leave a rule
 	// referenced from the new rule's body with only one remaining use;
@@ -341,7 +335,7 @@ func (b *builder) expand(n int32) {
 	// is registered by the caller's subsequent checks when applicable; the
 	// reference implementation registers only the right junction here.
 	if b.properDigram(l) {
-		b.digrams[b.keyOf(l)] = l
+		b.digrams.Set(b.keyOf(l), l)
 	}
 	b.rules[r].live = false
 	b.live--

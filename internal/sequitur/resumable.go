@@ -185,26 +185,24 @@ func (r *Builder) visit(ru int32, offset, cutoff int, fn func(ruleID, start, end
 }
 
 // Per-entry accounting constants for MemoryBytes: the in-memory size of an
-// arena node and of a rule slot, and approximations for one digram-index
-// entry and one word-intern entry (map header plus the []string slot), map
-// overhead included.
+// arena node and of a rule slot, and an approximation for one word-intern
+// entry (map header plus the []string slot), map overhead included.
 const (
-	nodeSize        = 16
-	ruleSize        = 12
-	digramEntrySize = 20
-	wordEntrySize   = 48
+	nodeSize      = 16
+	ruleSize      = 12
+	wordEntrySize = 48
 )
 
-// MemoryBytes is the builder's retained-memory accounting: the node arena
-// and rule slice at capacity, the digram table at its live size, the word
-// intern table including the interned bytes, and the visitation scratch.
+// MemoryBytes is the builder's retained-memory accounting: the node arena,
+// rule slice and digram table at capacity, the word intern table including
+// the interned bytes, and the visitation scratch.
 // Like the rest of the library's footprint accounting it is a
 // deterministic capacity-based bookkeeping of the structures the builder
 // owns, not Go allocator truth, and it is O(1) per call.
 func (r *Builder) MemoryBytes() int64 {
 	return int64(cap(r.b.nodes))*nodeSize +
 		int64(cap(r.b.rules))*ruleSize +
-		int64(len(r.b.digrams))*digramEntrySize +
+		r.b.digrams.MemoryBytes() +
 		int64(len(r.b.words))*wordEntrySize +
 		r.b.wordBytes +
 		int64(cap(r.memo))*4

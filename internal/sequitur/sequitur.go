@@ -10,12 +10,13 @@
 //
 // The induction runs the reference implementation's algorithm — a doubly-
 // linked list of symbols per rule plus a digram index — on an int32-linked
-// arena: nodes and rules live in flat slices and link by index, so the
-// state holds no pointers for the garbage collector to scan. Words enter as
-// strings (Induce, Builder.Push) or as integer ids (Builder.PushID, the
-// detection engine's path). The result is frozen into an immutable Grammar
-// value that the rest of the library (rule density curves, anomaly
-// ranking) consumes.
+// arena: nodes and rules live in flat slices and link by index, and the
+// digram index is a flat open-addressing table (internal/idmap) keyed by
+// the packed symbol pair, so the state holds no pointers for the garbage
+// collector to scan. Words enter as strings (Induce, Builder.Push) or as
+// integer ids (Builder.PushID, the detection engine's path). The result is
+// frozen into an immutable Grammar value that the rest of the library
+// (rule density curves, anomaly ranking) consumes.
 package sequitur
 
 import (

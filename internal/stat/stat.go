@@ -124,12 +124,40 @@ func MedianInPlace(xs []float64) (float64, error) {
 }
 
 func medianInPlace(xs []float64) float64 {
-	sort.Float64s(xs)
+	sortFloats(xs)
 	n := len(xs)
 	if n%2 == 1 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
+// insertionMax is the longest slice sortFloats orders by insertion sort:
+// the combiner's columns (τ·N curves, 20 at the paper's defaults) are short
+// enough that sort.Float64s' setup outweighs its asymptotics.
+const insertionMax = 32
+
+// sortFloats sorts xs ascending in sort.Float64s' order, NaNs first. Up to
+// insertionMax values it insertion-sorts in place; the combiner calls it
+// once per output point, on the serial phase after the member stage.
+func sortFloats(xs []float64) {
+	if len(xs) > insertionMax {
+		sort.Float64s(xs)
+		return
+	}
+	for i := 1; i < len(xs); i++ {
+		x := xs[i]
+		j := i
+		for ; j > 0 && floatLess(x, xs[j-1]); j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = x
+	}
+}
+
+// floatLess is sort.Float64s' order: x < y, with NaN below every number.
+func floatLess(x, y float64) bool {
+	return x < y || (x != x && y == y)
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear

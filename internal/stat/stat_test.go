@@ -358,3 +358,43 @@ func TestColumnMediansProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestSortFloatsMatchesSort is a differential test of the combiner's sort
+// against sort.Float64s, the reference it replaces: for n = 1..40 (both
+// sides of insertionMax), over values drawn with heavy ties, ±0, ±Inf and
+// NaN, the two sorted slices agree position by position (NaN with NaN,
+// numbers by ==, so ±0 count as one value, as they do under the order)
+// and so do the medians.
+func TestSortFloatsMatchesSort(t *testing.T) {
+	pool := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, 0.5, 0.5, 0.25, math.Inf(1), math.Inf(-1)}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	rng := rand.New(rand.NewSource(11))
+	for n := 1; n <= 40; n++ {
+		for trial := 0; trial < 200; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				if rng.Intn(4) == 0 {
+					xs[i] = rng.NormFloat64()
+				} else {
+					xs[i] = pool[rng.Intn(len(pool))]
+				}
+			}
+			want := append([]float64(nil), xs...)
+			sort.Float64s(want)
+			got := append([]float64(nil), xs...)
+			sortFloats(got)
+			for i := range want {
+				if !same(got[i], want[i]) {
+					t.Fatalf("n=%d %v: position %d = %v, sort.Float64s %v", n, xs, i, got[i], want[i])
+				}
+			}
+			ref := want[n/2]
+			if n%2 == 0 {
+				ref = (want[n/2-1] + want[n/2]) / 2
+			}
+			if m := medianInPlace(append([]float64(nil), xs...)); !same(m, ref) {
+				t.Fatalf("n=%d %v: median %v, reference %v", n, xs, m, ref)
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -174,5 +176,73 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	bad[3] ^= 0x40 // corrupt the magic
 	if _, err := Restore(cfg, bad); err == nil {
 		t.Fatal("restore accepted a corrupted magic")
+	}
+}
+
+// TestLongWordsSnapshotBytes covers words longer than sax.MaxPackedW (the
+// string-keyed dictionary path) at the stream level: with WMax 14 and the
+// ensemble drawing the whole (w, a) grid, so w = 13 and 14 run in every
+// span, a restored detector re-snapshots to the same bytes, and one
+// snapshotted, restored and fed the remainder ends in the same bytes and
+// events as one never interrupted — which in turn equals a detector that
+// re-discretizes every span from scratch. At an overlapping hop and at the
+// default hop.
+func TestLongWordsSnapshotBytes(t *testing.T) {
+	series := sineSeries(900, 30, 23, 400)
+	for _, hop := range []int{17, 0} {
+		// (WMax-1) × (AMax-1) = 39 members: the whole grid.
+		cfg := Config{Window: 30, BufLen: 240, Hop: hop, WMax: 14, AMax: 4, EnsembleSize: 39, Seed: 6}
+		var refEvents []Event
+		refCfg := cfg
+		refCfg.OnEvent = func(ev Event) { refEvents = append(refEvents, ev) }
+		ref, err := New(refCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.PushBatch(series); err != nil {
+			t.Fatal(err)
+		}
+		refSnap := ref.Snapshot()
+		if err := ref.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		scratch := cfg
+		scratch.fromScratch = true
+		scratchEvents, _, _ := runStream(t, scratch, series)
+		if !reflect.DeepEqual(scratchEvents, refEvents) {
+			t.Fatalf("hop %d: from-scratch events differ from incremental", hop)
+		}
+
+		for _, cut := range []int{250, 517, 700} {
+			var gotEvents []Event
+			subCfg := cfg
+			subCfg.OnEvent = func(ev Event) { gotEvents = append(gotEvents, ev) }
+			sub, err := New(subCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.PushBatch(series[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			snap := sub.Snapshot()
+			if sub, err = Restore(subCfg, snap); err != nil {
+				t.Fatalf("hop %d cut %d: %v", hop, cut, err)
+			}
+			if again := sub.Snapshot(); !bytes.Equal(again, snap) {
+				t.Fatalf("hop %d cut %d: restored detector snapshots to different bytes", hop, cut)
+			}
+			if err := sub.PushBatch(series[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sub.Snapshot(), refSnap) {
+				t.Fatalf("hop %d cut %d: final snapshot differs from the uninterrupted detector's", hop, cut)
+			}
+			if err := sub.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(gotEvents, refEvents) {
+				t.Fatalf("hop %d cut %d: events differ from the uninterrupted detector's", hop, cut)
+			}
+		}
 	}
 }
