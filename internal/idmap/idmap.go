@@ -20,8 +20,8 @@ const Empty = ^uint64(0)
 // minSlots is the smallest slot array a table allocates.
 const minSlots = 8
 
-// SlotBytes is the memory one slot takes: a uint64 key and an int32 value.
-const SlotBytes = 12
+// slotBytes is the memory one slot takes: a uint64 key and an int32 value.
+const slotBytes = 12
 
 // Map is a uint64 → int32 hash table. The zero value is an empty table
 // that allocates on its first insertion. A Map is not safe for concurrent
@@ -71,7 +71,7 @@ func (m *Map) home(k uint64) int {
 func (m *Map) Len() int { return m.n }
 
 // MemoryBytes is the table's retained memory: its slots at capacity.
-func (m *Map) MemoryBytes() int64 { return int64(len(m.keys)) * SlotBytes }
+func (m *Map) MemoryBytes() int64 { return int64(len(m.keys)) * slotBytes }
 
 // find returns k's slot, or the free slot ending k's probe sequence when
 // k is absent. The table must have slots.

@@ -204,7 +204,7 @@ func TestPresize(t *testing.T) {
 		if len(m.keys) != slots {
 			t.Fatalf("hint %d: grew from %d to %d slots", hint, slots, len(m.keys))
 		}
-		if m.MemoryBytes() != int64(slots)*SlotBytes {
+		if m.MemoryBytes() != int64(slots)*slotBytes {
 			t.Fatalf("hint %d: MemoryBytes %d for %d slots", hint, m.MemoryBytes(), slots)
 		}
 	}
