@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"egi/internal/grammar"
 	"egi/internal/sax"
 	"egi/internal/timeseries"
 )
@@ -190,5 +191,46 @@ func TestCombineMembersTauExtremes(t *testing.T) {
 	}
 	if kept < len(members)/2 {
 		t.Errorf("tau=1 kept only %d of %d members", kept, len(members))
+	}
+}
+
+// TestSingleRunEqualsMember states the one-path contract: the single-run
+// detector is one ensemble member of Algorithm 1, so for every (w,a) the
+// ensemble draws, grammar.Detect's curve over the whole series equals that
+// member's raw rule density curve bit for bit — across the paper's grid, a
+// grid reaching PAA sizes above sax.MaxPackedW, and the full alphabet.
+func TestSingleRunEqualsMember(t *testing.T) {
+	s := noisyPeriodic(1500, 50, 700, 31)
+	f, err := timeseries.NewFeatures(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Window: 50, Size: 50, WMax: 10, AMax: 10, Seed: 9},
+		{Window: 50, Size: 30, WMax: 14, AMax: 6, Seed: 4},
+		{Window: 30, Size: 20, WMax: 8, AMax: 26, Seed: 1},
+	} {
+		members, err := ComputeMembers(f, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, err := sax.NewMultiResolver(cfg.AMax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range members {
+			res, err := grammar.DetectWithFeatures(f, cfg.Window, m.Params, mr, 1)
+			if err != nil {
+				t.Fatalf("%v: %v", m.Params, err)
+			}
+			if len(res.Curve) != len(m.Curve) {
+				t.Fatalf("%v: single-run curve has %d points, member %d", m.Params, len(res.Curve), len(m.Curve))
+			}
+			for i := range m.Curve {
+				if math.Float64bits(res.Curve[i]) != math.Float64bits(m.Curve[i]) {
+					t.Fatalf("window %d %v: single-run curve[%d] = %v, member %v", cfg.Window, m.Params, i, res.Curve[i], m.Curve[i])
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package grammar
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -269,5 +270,26 @@ func TestDensityCurveClampsAtSeriesEnd(t *testing.T) {
 	}
 	if len(curve) != 6 {
 		t.Fatalf("curve length %d, want 6", len(curve))
+	}
+}
+
+// TestSingleRunParamErrors: parameters the encoder cannot serve come back
+// as errors, never as a panic — an alphabet beyond the shared resolver
+// wraps sax.ErrBadAlphabet, and a PAA size beyond the window is rejected.
+func TestSingleRunParamErrors(t *testing.T) {
+	s := periodicWithAnomaly(400, 40, 200, 4)
+	f, err := timeseries.NewFeatures(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := sax.NewMultiResolver(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DetectWithFeatures(f, 40, sax.Params{W: 6, A: 8}, mr, 3); !errors.Is(err, sax.ErrBadAlphabet) {
+		t.Errorf("alphabet 8 over a resolver of 4: err %v, want ErrBadAlphabet", err)
+	}
+	if _, err := FindMotifs(s, 40, sax.Params{W: 41, A: 4}, 3); err == nil {
+		t.Error("FindMotifs with w > window should error")
 	}
 }
