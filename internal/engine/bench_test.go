@@ -49,7 +49,7 @@ func preparedEngine(b *testing.B, src *timeseries.Features) *Engine {
 func encodeAll(b *testing.B, e *Engine, src *timeseries.Features) {
 	for w := range e.groups {
 		if g := &e.groups[w]; len(g.members) > 0 {
-			if err := e.encode(g, src, stageLen-stageWindow); err != nil {
+			if err := g.enc.Encode(src, g.pipes, stageLen-stageWindow); err != nil {
 				b.Fatal(err)
 			}
 		}

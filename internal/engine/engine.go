@@ -44,9 +44,12 @@
 // The member stage of a span is a pipeline of tasks sharing the
 // Config.Parallelism slots. Members that share a PAA size w share the §6.2
 // multi-resolution work (one PAA and one breakpoint resolution per window),
-// so encoding runs as one task per w: it brings that group's pipelines up
-// to the span's last window, frees its slot and starts one task per group
-// member for induction and the density curve. Induction of one group thus
+// so encoding runs as one task per w: the size's sax.Encoder, the window
+// walk the single-run detectors use too, brings that group's pipelines up
+// to the span's last window; the task then frees its slot and starts one
+// task per group member for induction and the density curve. The
+// single-run detector (grammar.Detect) is one such member run over a whole
+// series. Induction of one group thus
 // overlaps the encoding of the others, and no phase of the span runs on
 // one core while the others wait. Each task writes only its own members'
 // state and a word depends only on its window, so results are identical
@@ -65,7 +68,6 @@ import (
 	"egi/internal/sax"
 	"egi/internal/sequitur"
 	"egi/internal/stat"
-	"egi/internal/timeseries"
 )
 
 // Defaults used by the paper's experiments (§7, first paragraph).
@@ -252,15 +254,13 @@ type Source interface {
 	RangeSum2(p, q int) float64
 }
 
-// group is one PAA size's encode task: the span's members with that size
-// and the per-window scratch its encoding reuses. Groups touch disjoint
-// member pipelines, so they encode concurrently.
+// group is one PAA size's encode task: the span's members with that size,
+// their pipelines, and the size's encoder. Groups touch disjoint member
+// pipelines, so they encode concurrently.
 type group struct {
 	members []int                 // member indices (generation order) with this PAA size
-	pending []*sax.IncrementalSeq // members' pipelines with windows to encode
-	coeffs  []float64             // PAA coefficients of the current window
-	ivals   []int                 // their breakpoint intervals, the next window's hints
-	word    []byte                // one member's word, for sizes above sax.MaxPackedW
+	pipes   []*sax.IncrementalSeq // their pipelines, in the same order
+	enc     *sax.Encoder          // the size's window walk and its scratch
 }
 
 // memberState is one (w,a) member's resumable induction state, surviving
@@ -349,9 +349,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	groups := make([]group, wmax+1)
 	for w := 2; w <= wmax; w++ {
-		groups[w] = group{coeffs: make([]float64, w), ivals: make([]int, w)}
-		if w > sax.MaxPackedW {
-			groups[w].word = make([]byte, w)
+		if groups[w].enc, err = sax.NewEncoder(mr, cfg.Window, w); err != nil {
+			return nil, err
 		}
 	}
 	return &Engine{
@@ -430,6 +429,7 @@ func (e *Engine) prepare(src Source, start int, seed int64) []sax.Params {
 	e.inductSel = e.inductSel[:0]
 	for w := range e.groups {
 		e.groups[w].members = e.groups[w].members[:0]
+		e.groups[w].pipes = e.groups[w].pipes[:0]
 	}
 	for i, p := range params {
 		seq, ok := e.pipes[p]
@@ -447,7 +447,9 @@ func (e *Engine) prepare(src Source, start int, seed int64) []sax.Params {
 			e.induct[p] = st
 		}
 		e.inductSel = append(e.inductSel, st)
-		e.groups[p.W].members = append(e.groups[p.W].members, i)
+		g := &e.groups[p.W]
+		g.members = append(g.members, i)
+		g.pipes = append(g.pipes, seq)
 	}
 	return params
 }
@@ -490,7 +492,7 @@ func (e *Engine) runMembers(src Source, params []sax.Params, start, end int) err
 // token, then starts its members' tasks.
 func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end int) {
 	defer e.running.Done()
-	err := e.encode(g, src, end-e.cfg.Window)
+	err := g.enc.Encode(src, g.pipes, end-e.cfg.Window)
 	<-e.sem
 	for _, i := range g.members {
 		if err != nil {
@@ -501,63 +503,6 @@ func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end 
 		e.sem <- struct{}{}
 		go e.runMember(i, params[i], start, end)
 	}
-}
-
-// encode appends every not-yet-encoded window up to lastWin to the group's
-// pipelines, sharing one FastPAA evaluation and one breakpoint resolution
-// per window across the group — the §6.2 multi-resolution fast path,
-// restated incrementally. The resolution takes the previous window's
-// intervals as hints, and a word of up to sax.MaxPackedW symbols goes to
-// its pipeline as a packed code folded straight from the intervals, never
-// as bytes. Pipelines may resume at different windows (fresh and current
-// members share a group); each joins once the walk reaches its next
-// window.
-func (e *Engine) encode(g *group, src Source, lastWin int) error {
-	pending := g.pending[:0]
-	for _, i := range g.members {
-		if s := e.seqSel[i]; s.NextWin() <= lastWin {
-			// Insertion sort by next window: groups hold a handful of members.
-			k := len(pending)
-			pending = append(pending, s)
-			for ; k > 0 && pending[k-1].NextWin() > s.NextWin(); k-- {
-				pending[k] = pending[k-1]
-			}
-			pending[k] = s
-		}
-	}
-	g.pending = pending
-	if len(pending) == 0 {
-		return nil
-	}
-	n, w := e.cfg.Window, len(g.coeffs)
-	packed := w <= sax.MaxPackedW
-	active := 0
-	for win := pending[0].NextWin(); win <= lastWin; win++ {
-		for active < len(pending) && pending[active].NextWin() == win {
-			active++
-		}
-		mu, sigma := timeseries.MeanStd(src, win, win+n)
-		if err := sax.FastPAAWith(src, win, n, w, mu, sigma, g.coeffs); err != nil {
-			return err
-		}
-		// Breakpoint intervals depend on the coefficients alone, so the
-		// group's members share one resolution and encode only their
-		// alphabet's symbols from it.
-		if err := e.mr.Intervals(g.coeffs, g.ivals); err != nil {
-			return err
-		}
-		for _, s := range pending[:active] {
-			if packed {
-				s.AppendCode(e.mr.CodeAt(g.ivals, s.Params().A))
-				continue
-			}
-			if err := e.mr.WordAt(g.ivals, s.Params().A, g.word); err != nil {
-				return err
-			}
-			s.Append(g.word)
-		}
-	}
-	return nil
 }
 
 // runMember is one member's task: advance its resumable induction to the
@@ -777,7 +722,10 @@ func (e *Engine) computeFootprint() int64 {
 	total += int64(cap(e.grid)+cap(e.draw)) * stringHeader // sax.Params: two ints
 	total += int64(cap(e.seqSel)+cap(e.inductSel)) * 8
 	for _, g := range e.groups {
-		total += int64(cap(g.members)+cap(g.pending)+cap(g.coeffs)+cap(g.ivals))*8 + int64(cap(g.word))
+		total += int64(cap(g.members)+cap(g.pipes)) * 8
+		if g.enc != nil {
+			total += g.enc.MemoryBytes()
+		}
 	}
 	total += int64(cap(e.curves)) * memberCurveSize
 	total += int64(cap(e.stds)) * 8

@@ -1,12 +1,17 @@
 // Package grammar implements the grammar-induction-based anomaly detection
-// pipeline of §5 of the paper: it turns a discretized, numerosity-reduced
-// token sequence into a Sequitur grammar, computes the rule density curve
-// (the meta time series counting how many grammar rules cover each point),
-// and extracts ranked anomaly candidates from the curve's minima.
+// pipeline of §5 of the paper, one ensemble member's discretize → induce →
+// density path: InduceMember runs a (w, a) member over a whole series
+// through the shared SAX encoder (internal/sax) and a Sequitur builder
+// (internal/sequitur); WindowedDensityInto turns the grammar into the rule
+// density curve (the meta time series counting how many grammar rules
+// cover each point) over any span; RankAnomalies extracts ranked
+// candidates from the curve's minima.
 //
-// This package is both a building block of the ensemble (internal/core) and
-// a complete single-run detector — the GI-Fix and GI-Random baselines of
-// §7.1.3 are thin wrappers around Detect.
+// The detection engine (internal/engine) runs the same member path for
+// every ensemble member over spans of a series, and Detect is the complete
+// single-run detector: one member ranked on its own. The GI-Fix and
+// GI-Random baselines of §7.1.3 are thin wrappers around Detect, and
+// FindMotifs and internal/rra read the same member's grammar.
 package grammar
 
 import (
@@ -36,21 +41,6 @@ type Candidate struct {
 	Pos     int     // start index of the anomalous subsequence
 	Length  int     // subsequence length (the sliding window length)
 	Density float64 // mean rule density over the window; lower = more anomalous
-}
-
-// DensityCurve computes the rule density curve for a grammar induced from
-// the given numerosity-reduced token sequence. Each occurrence of each rule
-// (except the start rule) covering tokens [s, e) is mapped back to the time
-// span [tokens[s].Pos, tokens[e-1].Pos + n - 1] — the union of the sliding
-// windows its tokens were produced from — and contributes one unit of
-// density to every point of that span. It is WindowedDensityInto over the
-// whole series [0, seriesLen), so cost is O(#occurrences + seriesLen).
-func DensityCurve(g *sequitur.Grammar, tokens []sax.Token, seriesLen, n int) ([]float64, error) {
-	pos := make([]int, len(tokens))
-	for i, t := range tokens {
-		pos[i] = t.Pos
-	}
-	return WindowedDensityInto(nil, g, pos, 0, seriesLen, n)
 }
 
 // WindowScores converts a pointwise density curve into per-window scores:
@@ -117,22 +107,66 @@ type Result struct {
 	NumTokens  int         // numerosity-reduced token count
 }
 
-// newFeaturesChecked validates the window against the series and computes
-// the prefix-sum features.
-func newFeaturesChecked(series timeseries.Series, n int) (*timeseries.Features, error) {
+// InduceMember runs one ensemble member — PAA size p.W, alphabet p.A,
+// sliding window n — over the whole series exactly as the detection engine
+// runs it: a fresh pipeline through the shared sax.Encoder, its word ids
+// fed to a sequitur.Builder, and the grammar frozen with its terminals
+// rendered from the pipeline's dictionary. It returns the grammar and the
+// window start position of each of its input tokens. Dictionary ids come
+// in first-occurrence order, so the grammar is the one Sequitur induces
+// from the token words. The resolver mr must cover p.A; pass nil to have
+// one built on the fly.
+func InduceMember(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver) (*sequitur.Grammar, []int, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("%w: n=%d", ErrBadWindowN, n)
+		return nil, nil, fmt.Errorf("%w: n=%d", ErrBadWindowN, n)
 	}
-	if n > len(series) {
-		return nil, fmt.Errorf("%w: n=%d len=%d", ErrBadSeries, n, len(series))
+	if n > f.SeriesLen() {
+		return nil, nil, fmt.Errorf("%w: n=%d len=%d", ErrBadSeries, n, f.SeriesLen())
 	}
-	return timeseries.NewFeatures(series)
+	if mr == nil {
+		var err error
+		if mr, err = sax.NewMultiResolver(p.A); err != nil {
+			return nil, nil, err
+		}
+	}
+	enc, err := sax.NewEncoder(mr, n, p.W)
+	if err != nil {
+		return nil, nil, err
+	}
+	seq := sax.NewIncrementalSeq(p, 0)
+	lastWin := f.SeriesLen() - n
+	if err := enc.Encode(f, []*sax.IncrementalSeq{seq}, lastWin); err != nil {
+		return nil, nil, err
+	}
+	toks, err := seq.Covering(0, lastWin)
+	if err != nil {
+		return nil, nil, err
+	}
+	b := sequitur.NewBuilderSize(len(toks))
+	pos := make([]int, len(toks))
+	for i, tk := range toks {
+		b.PushID(tk.ID)
+		pos[i] = tk.Pos
+	}
+	g, err := b.Grammar()
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := make([]int32, seq.VocabLen())
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	g.Words = seq.Words(ids)
+	return g, pos, nil
 }
 
 // Detect runs the full single-parameter pipeline of §5 (the GrammarViz
-// detector): discretize with sliding window n and parameters p, induce a
-// grammar, build the density curve, and rank the topK anomaly candidates.
-// The resolver mr must cover p.A; pass nil to have one built on the fly.
+// detector), which is one ensemble member of Algorithm 1 ranked on its
+// own: induce the member's grammar over the series with sliding window n
+// and parameters p (InduceMember), build its rule density curve, and rank
+// the topK anomaly candidates. Its curve is bit-identical to the raw curve
+// the ensemble computes for the same member. The resolver mr must cover
+// p.A; pass nil to have one built on the fly.
 func Detect(series timeseries.Series, n int, p sax.Params, mr *sax.MultiResolver, topK int) (*Result, error) {
 	f, err := timeseries.NewFeatures(series)
 	if err != nil {
@@ -144,37 +178,11 @@ func Detect(series timeseries.Series, n int, p sax.Params, mr *sax.MultiResolver
 // DetectWithFeatures is Detect for callers that already computed the
 // prefix-sum features (the ensemble shares one Features across members).
 func DetectWithFeatures(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver, topK int) (*Result, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("%w: n=%d", ErrBadWindowN, n)
-	}
-	if n > f.SeriesLen() {
-		return nil, fmt.Errorf("%w: n=%d len=%d", ErrBadSeries, n, f.SeriesLen())
-	}
-	if mr == nil {
-		var err error
-		if mr, err = sax.NewMultiResolver(p.A); err != nil {
-			return nil, err
-		}
-	}
-	return detect(f, n, p, mr, topK)
-}
-
-// detect runs the pipeline once the arguments are checked: discretize,
-// induce the grammar, build the density curve and rank the candidates.
-func detect(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver, topK int) (*Result, error) {
-	tokens, err := sax.Discretize(f, n, p, mr)
+	g, pos, err := InduceMember(f, n, p, mr)
 	if err != nil {
 		return nil, err
 	}
-	words := make([]string, len(tokens))
-	for i, t := range tokens {
-		words[i] = t.Word
-	}
-	g, err := sequitur.Induce(words)
-	if err != nil {
-		return nil, err
-	}
-	curve, err := DensityCurve(g, tokens, f.SeriesLen(), n)
+	curve, err := WindowedDensityInto(nil, g, pos, 0, f.SeriesLen(), n)
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +195,6 @@ func detect(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver, 
 		Curve:      curve,
 		Candidates: cands,
 		NumRules:   g.NumRules(),
-		NumTokens:  len(tokens),
+		NumTokens:  len(pos),
 	}, nil
 }

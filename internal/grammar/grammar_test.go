@@ -26,21 +26,31 @@ func periodicWithAnomaly(length, period, pos int, seed int64) timeseries.Series 
 	return s
 }
 
+// induce runs Sequitur over words through the resumable builder.
+func induce(t *testing.T, words []string) *sequitur.Grammar {
+	t.Helper()
+	b := sequitur.NewBuilder()
+	for _, w := range words {
+		b.Push(w)
+	}
+	g, err := b.Grammar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestDensityCurvePaperExample(t *testing.T) {
 	// Table 1's sequence: the xx token is in no rule, so its span must have
 	// zero density while the R1 spans have positive density.
 	words := []string{"aa", "bb", "cc", "xx", "aa", "bb", "cc"}
-	tokens := make([]sax.Token, len(words))
-	for i, w := range words {
-		tokens[i] = sax.Token{Word: w, Pos: i * 4} // windows every 4 points
+	pos := make([]int, len(words))
+	for i := range words {
+		pos[i] = i * 4 // windows every 4 points
 	}
 	n := 4
-	seriesLen := tokens[len(tokens)-1].Pos + n
-	g, err := sequitur.Induce(words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	curve, err := DensityCurve(g, tokens, seriesLen, n)
+	seriesLen := pos[len(pos)-1] + n
+	curve, err := WindowedDensityInto(nil, induce(t, words), pos, 0, seriesLen, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +78,9 @@ func TestDensityCurvePaperExample(t *testing.T) {
 
 func TestDensityCurveNonNegativeAndErrors(t *testing.T) {
 	words := []string{"a", "b", "a", "b"}
-	tokens := make([]sax.Token, len(words))
-	for i, w := range words {
-		tokens[i] = sax.Token{Word: w, Pos: i}
-	}
-	g, _ := sequitur.Induce(words)
-	curve, err := DensityCurve(g, tokens, 10, 3)
+	pos := []int{0, 1, 2, 3}
+	g := induce(t, words)
+	curve, err := WindowedDensityInto(nil, g, pos, 0, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +89,13 @@ func TestDensityCurveNonNegativeAndErrors(t *testing.T) {
 			t.Fatalf("curve[%d] = %v < 0", i, v)
 		}
 	}
-	if _, err := DensityCurve(g, nil, 10, 3); err == nil {
+	if _, err := WindowedDensityInto(nil, g, nil, 0, 10, 3); err == nil {
 		t.Error("empty tokens should error")
 	}
-	if _, err := DensityCurve(g, tokens, 10, 0); err == nil {
+	if _, err := WindowedDensityInto(nil, g, pos, 0, 10, 0); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := DensityCurve(g, tokens, 2, 3); err == nil {
+	if _, err := WindowedDensityInto(nil, g, pos, 0, 2, 3); err == nil {
 		t.Error("n>seriesLen should error")
 	}
 }
@@ -261,10 +268,7 @@ func TestDetectWithSharedResolver(t *testing.T) {
 func TestDensityCurveClampsAtSeriesEnd(t *testing.T) {
 	// Rule occurrences whose last window extends to the series end must not
 	// write past the curve.
-	words := []string{"a", "b", "a", "b"}
-	tokens := []sax.Token{{Word: "a", Pos: 0}, {Word: "b", Pos: 1}, {Word: "a", Pos: 2}, {Word: "b", Pos: 3}}
-	g, _ := sequitur.Induce(words)
-	curve, err := DensityCurve(g, tokens, 6, 3)
+	curve, err := WindowedDensityInto(nil, induce(t, []string{"a", "b", "a", "b"}), []int{0, 1, 2, 3}, 0, 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"egi/internal/sax"
 	"egi/internal/sequitur"
+	"egi/internal/timeseries"
 )
 
 // Motif is a repeated pattern discovered through the induced grammar: a
@@ -38,14 +39,15 @@ func (m Motif) MeanLength() float64 {
 }
 
 // TopMotifs extracts the k most frequent motifs from a grammar induced
-// over the numerosity-reduced token sequence. Ties on frequency are broken
-// toward longer expansions (more specific patterns). Rules whose
-// occurrences all overlap (trivial matches) are skipped.
-func TopMotifs(g *sequitur.Grammar, tokens []sax.Token, seriesLen, n, k int) ([]Motif, error) {
+// over a numerosity-reduced token sequence, pos[i] being the window start
+// of token i. Ties on frequency are broken toward longer expansions (more
+// specific patterns). Rules whose occurrences all overlap (trivial
+// matches) are skipped.
+func TopMotifs(g *sequitur.Grammar, pos []int, seriesLen, n, k int) ([]Motif, error) {
 	if k < 1 {
 		return nil, ErrBadTopK
 	}
-	if len(tokens) == 0 {
+	if len(pos) == 0 {
 		return nil, ErrNoTokens
 	}
 	if n < 1 || n > seriesLen {
@@ -57,12 +59,12 @@ func TopMotifs(g *sequitur.Grammar, tokens []sax.Token, seriesLen, n, k int) ([]
 		if visitErr != nil {
 			return
 		}
-		if s < 0 || e > len(tokens) || s >= e {
+		if s < 0 || e > len(pos) || s >= e {
 			visitErr = fmt.Errorf("%w: rule R%d tokens [%d,%d)", ErrBadSpan, rule, s, e)
 			return
 		}
-		lo := tokens[s].Pos
-		hi := tokens[e-1].Pos + n
+		lo := pos[s]
+		hi := pos[e-1] + n
 		if hi > seriesLen {
 			hi = seriesLen
 		}
@@ -124,38 +126,17 @@ func dedupeOverlaps(spans [][2]int) [][2]int {
 	return out
 }
 
-// FindMotifs runs the full discovery pipeline: discretize the series with
-// window n and parameters p, induce a grammar, and return the top-k motifs.
+// FindMotifs runs the full discovery pipeline: induce the grammar of the
+// series with window n and parameters p (InduceMember) and return the
+// top-k motifs.
 func FindMotifs(series []float64, n int, p sax.Params, k int) ([]Motif, error) {
-	res, tokens, err := detectKeepTokens(series, n, p)
+	f, err := timeseries.NewFeatures(series)
 	if err != nil {
 		return nil, err
 	}
-	return TopMotifs(res, tokens, len(series), n, k)
-}
-
-// detectKeepTokens is the discretize+induce prefix of Detect that also
-// returns the token sequence (Detect discards it).
-func detectKeepTokens(series []float64, n int, p sax.Params) (*sequitur.Grammar, []sax.Token, error) {
-	f, err := newFeaturesChecked(series, n)
+	g, pos, err := InduceMember(f, n, p, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	mr, err := sax.NewMultiResolver(p.A)
-	if err != nil {
-		return nil, nil, err
-	}
-	tokens, err := sax.Discretize(f, n, p, mr)
-	if err != nil {
-		return nil, nil, err
-	}
-	words := make([]string, len(tokens))
-	for i, t := range tokens {
-		words[i] = t.Word
-	}
-	g, err := sequitur.Induce(words)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, tokens, nil
+	return TopMotifs(g, pos, len(series), n, k)
 }

@@ -34,10 +34,12 @@ type RuleVisitor interface {
 // When the history is anchored exactly at the span (pos[0] maps the span's
 // first window), the live builder and a grammar induced from scratch over
 // the same tokens yield bit-identical curves — the identity that makes
-// per-span induction a special case of the windowed computation; batch
-// DensityCurve is the anchored case with start 0. dst is grown as needed
-// and returned re-sliced to end-start; pass a retained slice to amortize
-// the allocation across runs. dst's previous contents are discarded.
+// per-span induction a special case of the windowed computation. The
+// single-run detectors take the anchored case over a whole series (start
+// 0, end its length) as the rule density curve of §5. dst is grown as
+// needed and returned re-sliced to end-start; pass a retained slice to
+// amortize the allocation across runs. dst's previous contents are
+// discarded.
 func WindowedDensityInto(dst []float64, v RuleVisitor, pos []int, start, end, n int) ([]float64, error) {
 	if len(pos) == 0 {
 		return nil, ErrNoTokens

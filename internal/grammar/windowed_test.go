@@ -30,9 +30,9 @@ func randWords(rng *rand.Rand, startWin, count, alphabet int) ([]string, []int) 
 
 // TestWindowedDensityAnchoredEqualsDensityCurve: with the history anchored
 // exactly at the span, WindowedDensityInto over the live builder
-// reproduces the curve over the frozen grammar Induce builds from the same
-// words, bit for bit — the identity the engine's per-span (rebased) runs
-// rely on, and the batch DensityCurve's anchored case.
+// reproduces the curve over the frozen grammar of the same words, bit for
+// bit — the identity the engine's per-span (rebased) runs rely on, and the
+// single-run detectors' whole-series case.
 func TestWindowedDensityAnchoredEqualsDensityCurve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
@@ -50,11 +50,7 @@ func TestWindowedDensityAnchoredEqualsDensityCurve(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		g, err := sequitur.Induce(words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := WindowedDensityInto(nil, g, pos, start, end, n)
+		want, err := WindowedDensityInto(nil, induce(t, words), pos, start, end, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,7 @@ import (
 	"math"
 	"sort"
 
+	"egi/internal/grammar"
 	"egi/internal/sax"
 	"egi/internal/sequitur"
 	"egi/internal/stat"
@@ -99,24 +100,16 @@ func Detect(series timeseries.Series, cfg Config) ([]Anomaly, error) {
 	if err != nil {
 		return nil, err
 	}
-	mr, err := sax.NewMultiResolver(cfg.Params.A)
+	g, pos, err := grammar.InduceMember(f, cfg.Window, cfg.Params, nil)
 	if err != nil {
 		return nil, err
 	}
-	tokens, err := sax.Discretize(f, cfg.Window, cfg.Params, mr)
-	if err != nil {
-		return nil, err
-	}
-	words := make([]string, len(tokens))
-	for i, t := range tokens {
-		words[i] = t.Word
-	}
-	g, err := sequitur.Induce(words)
+	density, err := grammar.WindowedDensityInto(nil, g, pos, 0, len(series), cfg.Window)
 	if err != nil {
 		return nil, err
 	}
 
-	cands := ruleIntervals(g, tokens, len(series), cfg.Window)
+	cands := ruleIntervals(g, pos, density, cfg.Window)
 	if len(cands) == 0 {
 		return nil, errors.New("rra: no candidate intervals (series too uniform?)")
 	}
@@ -159,44 +152,40 @@ func Detect(series timeseries.Series, cfg Config) ([]Anomaly, error) {
 // ruleIntervals converts every rule occurrence into a candidate interval
 // tagged with the rule's usage count, and adds zero-frequency intervals
 // for maximal stretches covered by no rule (the incompressible parts,
-// which are the strongest anomaly candidates).
-func ruleIntervals(g *sequitur.Grammar, tokens []sax.Token, seriesLen, window int) []interval {
+// which are the strongest anomaly candidates): a point is covered exactly
+// when its rule density is above zero. pos[i] is the window start of
+// token i of the grammar's input.
+func ruleIntervals(g *sequitur.Grammar, pos []int, density []float64, window int) []interval {
+	seriesLen := len(density)
 	var out []interval
-	covered := make([]bool, seriesLen)
 	g.VisitOccurrences(func(rule, s, e int) {
-		if s < 0 || e > len(tokens) || s >= e {
-			return
-		}
-		lo := tokens[s].Pos
-		hi := tokens[e-1].Pos + window
+		lo := pos[s]
+		hi := pos[e-1] + window
 		if hi > seriesLen {
 			hi = seriesLen
 		}
 		out = append(out, interval{pos: lo, length: hi - lo, freq: g.Rules[rule].Uses})
-		for i := lo; i < hi; i++ {
-			covered[i] = true
-		}
 	})
 	// Maximal uncovered runs -> zero-frequency candidates. Extend short
 	// runs to at least one window so the refinement has enough points.
 	i := 0
 	for i < seriesLen {
-		if covered[i] {
+		if density[i] > 0 {
 			i++
 			continue
 		}
 		j := i
-		for j < seriesLen && !covered[j] {
+		for j < seriesLen && density[j] == 0 {
 			j++
 		}
-		pos, length := i, j-i
+		start, length := i, j-i
 		if length < window {
 			length = window
-			if pos+length > seriesLen {
-				pos = seriesLen - length
+			if start+length > seriesLen {
+				start = seriesLen - length
 			}
 		}
-		out = append(out, interval{pos: pos, length: length, freq: 0})
+		out = append(out, interval{pos: start, length: length, freq: 0})
 		i = j
 	}
 	return out

@@ -33,7 +33,7 @@ func TestBreakpointTieRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := Discretize(f, n, Params{W: w, A: a}, mr)
+	fast, err := encodeSeries(f, n, Params{W: w, A: a}, mr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,11 @@ func TestSymbolForBoundaryTolerance(t *testing.T) {
 	}
 }
 
-// TestIncrementalSeqMatchesDiscretize: extending a member pipeline window
-// by window and slicing span tokens out of it reproduces, bit for bit,
-// what a from-scratch Discretize over each span produces — across several
-// span grids including single-point hops and a stale gap.
+// TestIncrementalSeqMatchesDiscretize: extending a member pipeline through
+// the shared Encoder span by span and slicing span tokens out of it
+// reproduces, bit for bit, an unhinted from-scratch discretization of each
+// span — across several span grids including single-point hops and a
+// stale gap.
 func TestIncrementalSeqMatchesDiscretize(t *testing.T) {
 	series := make(timeseries.Series, 400)
 	for i := range series {
@@ -132,20 +133,16 @@ func TestIncrementalSeqMatchesDiscretize(t *testing.T) {
 		}
 		for _, hop := range []int{1, 5, 37, 100} {
 			seq := NewIncrementalSeq(p, 0)
-			coeffs := make([]float64, p.W)
-			word := make([]byte, p.W)
+			enc, err := NewEncoder(mr, n, p.W)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var span []Token
 			for start := 0; start+120 <= len(series); start += hop {
 				end := start + 120
 				// Extend the pipeline to the span's last window.
-				for win := seq.NextWin(); win <= end-n; win++ {
-					if err := FastPAAFrom(f, win, n, p.W, coeffs); err != nil {
-						t.Fatal(err)
-					}
-					if err := mr.EncodeWord(coeffs, p.A, word); err != nil {
-						t.Fatal(err)
-					}
-					seq.Append(word)
+				if err := enc.Encode(f, []*IncrementalSeq{seq}, end-n); err != nil {
+					t.Fatal(err)
 				}
 				span, err = spanTokens(span[:0], seq, start, end-n)
 				if err != nil {
@@ -172,7 +169,7 @@ func TestIncrementalSeqMatchesDiscretize(t *testing.T) {
 
 // spanTokens re-bases the covering tokens of the windows [startWin, endWin]
 // to span-local positions, the first one re-anchored to the span start —
-// the form a from-scratch Discretize over the span produces.
+// the form a from-scratch discretization of the span produces.
 func spanTokens(dst []Token, seq *IncrementalSeq, startWin, endWin int) ([]Token, error) {
 	toks, err := seq.Covering(startWin, endWin)
 	if err != nil {

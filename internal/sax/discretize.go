@@ -2,7 +2,6 @@ package sax
 
 import (
 	"fmt"
-	"sort"
 
 	"egi/internal/stat"
 	"egi/internal/timeseries"
@@ -56,105 +55,171 @@ func ExpandNumerosity(tokens []Token, numWindows int) ([]string, error) {
 	return out, nil
 }
 
-// Discretize converts the whole series (represented by its prefix-sum
-// features) into a numerosity-reduced token sequence using sliding windows
-// of length n and SAX parameters p. It is the discretization front end of
-// the single-run grammar-induction detector.
-func Discretize(f *timeseries.Features, n int, p Params, mr *MultiResolver) ([]Token, error) {
-	if n <= 0 || n > f.SeriesLen() {
-		return nil, fmt.Errorf("%w: n=%d, len=%d", ErrBadWindow, n, f.SeriesLen())
-	}
-	if err := p.Validate(n); err != nil {
-		return nil, err
-	}
-	if mr == nil || p.A > mr.AMax() {
-		return nil, fmt.Errorf("%w: resolver missing or too small for a=%d", ErrBadAlphabet, p.A)
-	}
-	numWin := f.SeriesLen() - n + 1
-	coeffs := make([]float64, p.W)
-	wordBuf := make([]byte, p.W)
-	tokens := make([]Token, 0, numWin/4+1)
-	prev := ""
-	for i := 0; i < numWin; i++ {
-		if err := FastPAA(f, i, n, p.W, coeffs); err != nil {
-			return nil, err
-		}
-		if err := mr.EncodeWord(coeffs, p.A, wordBuf); err != nil {
-			return nil, err
-		}
-		if i == 0 || string(wordBuf) != prev {
-			w := string(wordBuf)
-			tokens = append(tokens, Token{Word: w, Pos: i})
-			prev = w
-		}
-	}
-	return tokens, nil
+// WindowSource is what an Encoder walks: constant-time range sums over the
+// retained positions [First(), End()) of a series, in its own coordinates.
+// timeseries.Features (a whole series) and timeseries.RingFeatures (the
+// rolling window of a stream) both implement it.
+type WindowSource interface {
+	FeatureSource
+	First() int
+	End() int
 }
 
-// DiscretizeMany produces one numerosity-reduced token sequence per
-// parameter combination, sharing work across members: for every window the
-// PAA coefficients are computed once per *distinct* w (O(w) each via
-// FastPAA) and then resolved into words for every alphabet size through the
-// multi-resolution symbol matrix. This is the §6.2 fast path that makes the
-// ensemble's discretization cost comparable to a single resolution.
+// Encoder is the library's one sliding-window walk: it turns each window
+// of n points into its SAX word at one PAA size w and appends the word to
+// every member pipeline of that size — the §6.2 multi-resolution fast
+// path, restated incrementally. Per window it computes the mean and
+// standard deviation once (timeseries.MeanStd), the PAA coefficients once
+// (FastPAAWith) and their breakpoint intervals once (MultiResolver.
+// Intervals, hinted with the previous window's intervals); each pipeline
+// then encodes only its own alphabet from the intervals, as a packed code
+// (CodeAt, AppendCode) for w up to MaxPackedW and as word bytes (WordAt,
+// Append) above it. Pipelines may resume at different windows; each joins
+// the walk once it reaches its NextWin.
 //
-// The i-th returned sequence corresponds to params[i].
-func DiscretizeMany(f *timeseries.Features, n int, params []Params, mr *MultiResolver) ([][]Token, error) {
-	if n <= 0 || n > f.SeriesLen() {
-		return nil, fmt.Errorf("%w: n=%d, len=%d", ErrBadWindow, n, f.SeriesLen())
+// The detection engine runs one Encoder per PAA size of a span's members,
+// and the single-run detectors run one over a single fresh pipeline, so
+// every path of the library discretizes through this walk. An Encoder
+// reuses its scratch across calls and is not safe for concurrent use.
+type Encoder struct {
+	mr      *MultiResolver
+	n       int
+	coeffs  []float64         // PAA coefficients of the current window
+	ivals   []int             // their breakpoint intervals, the next window's hints
+	word    []byte            // one member's word, for sizes above MaxPackedW
+	pending []*IncrementalSeq // the call's pipelines with windows to encode, by NextWin
+}
+
+// NewEncoder returns the encoder of windows of n points at PAA size w,
+// resolving symbols through mr.
+func NewEncoder(mr *MultiResolver, n, w int) (*Encoder, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: n=%d", ErrBadWindow, n)
 	}
+	if w < 1 || w > n {
+		return nil, fmt.Errorf("%w: w=%d, n=%d", ErrBadPAASize, w, n)
+	}
+	if mr == nil {
+		return nil, fmt.Errorf("%w: no resolver", ErrBadAlphabet)
+	}
+	e := &Encoder{mr: mr, n: n, coeffs: make([]float64, w), ivals: make([]int, w)}
+	if w > MaxPackedW {
+		e.word = make([]byte, w)
+	}
+	return e, nil
+}
+
+// MemoryBytes is the encoder's retained scratch, at capacity.
+func (e *Encoder) MemoryBytes() int64 {
+	return int64(cap(e.pending)+cap(e.coeffs)+cap(e.ivals))*8 + int64(cap(e.word))
+}
+
+// Encode appends to each pipeline every window from its NextWin up to
+// lastWin. Every pipeline must have the encoder's PAA size and valid
+// parameters for its window length, with an alphabet the resolver covers,
+// and the windows must lie in the source's retained range; otherwise
+// Encode appends nothing and returns an error.
+func (e *Encoder) Encode(src WindowSource, pipes []*IncrementalSeq, lastWin int) error {
+	n, w := e.n, len(e.coeffs)
+	if lastWin < src.First() || lastWin+n > src.End() {
+		return fmt.Errorf("%w: windows of %d points up to %d, retained [%d,%d)", ErrBadWindow, n, lastWin, src.First(), src.End())
+	}
+	pending := e.pending[:0]
+	for _, s := range pipes {
+		p := s.Params()
+		if err := p.Validate(n); err != nil {
+			return err
+		}
+		if p.W != w {
+			return fmt.Errorf("%w: pipeline %v in an encoder of w=%d", ErrBadPAASize, p, w)
+		}
+		if p.A > e.mr.AMax() {
+			return fmt.Errorf("%w: resolver too small for a=%d", ErrBadAlphabet, p.A)
+		}
+		if s.NextWin() < src.First() {
+			return fmt.Errorf("%w: pipeline %v resumes at window %d, retained from %d", ErrBadWindow, p, s.NextWin(), src.First())
+		}
+		if s.NextWin() <= lastWin {
+			// Insertion sort by next window: groups hold a handful of members.
+			k := len(pending)
+			pending = append(pending, s)
+			for ; k > 0 && pending[k-1].NextWin() > s.NextWin(); k-- {
+				pending[k] = pending[k-1]
+			}
+			pending[k] = s
+		}
+	}
+	e.pending = pending
+	if len(pending) == 0 {
+		return nil
+	}
+	sums := FeatureSource(src)
+	packed := w <= MaxPackedW
+	active := 0
+	for win := pending[0].NextWin(); win <= lastWin; win++ {
+		for active < len(pending) && pending[active].NextWin() == win {
+			active++
+		}
+		mu, sigma := timeseries.MeanStd(sums, win, win+n)
+		if err := FastPAAWith(sums, win, n, w, mu, sigma, e.coeffs); err != nil {
+			return err
+		}
+		// Breakpoint intervals depend on the coefficients alone, so the
+		// pipelines share one resolution and encode only their alphabet's
+		// symbols from it.
+		if err := e.mr.Intervals(e.coeffs, e.ivals); err != nil {
+			return err
+		}
+		for _, s := range pending[:active] {
+			if packed {
+				s.AppendCode(e.mr.CodeAt(e.ivals, s.Params().A))
+				continue
+			}
+			if err := e.mr.WordAt(e.ivals, s.Params().A, e.word); err != nil {
+				return err
+			}
+			s.Append(e.word)
+		}
+	}
+	return nil
+}
+
+// DiscretizeMany produces one numerosity-reduced token sequence over the
+// whole series per parameter combination: one Encoder per distinct PAA
+// size walks the windows for fresh pipelines of all its combinations, and
+// their tokens are rendered into words. The i-th returned sequence
+// corresponds to params[i].
+func DiscretizeMany(f *timeseries.Features, n int, params []Params, mr *MultiResolver) ([][]Token, error) {
 	if len(params) == 0 {
 		return nil, fmt.Errorf("sax: no parameter combinations")
 	}
+	seqs := make([]*IncrementalSeq, len(params))
+	for i, p := range params {
+		seqs[i] = NewIncrementalSeq(p, 0)
+	}
+	encoded := make(map[int]bool)
 	for _, p := range params {
-		if err := p.Validate(n); err != nil {
+		if encoded[p.W] {
+			continue
+		}
+		encoded[p.W] = true
+		var group []*IncrementalSeq
+		for _, s := range seqs {
+			if s.Params().W == p.W {
+				group = append(group, s)
+			}
+		}
+		enc, err := NewEncoder(mr, n, p.W)
+		if err != nil {
 			return nil, err
 		}
-		if mr == nil || p.A > mr.AMax() {
-			return nil, fmt.Errorf("%w: resolver missing or too small for a=%d", ErrBadAlphabet, p.A)
+		if err := enc.Encode(f, group, f.SeriesLen()-n); err != nil {
+			return nil, err
 		}
 	}
-
-	// Group member indices by w so each distinct w costs one FastPAA pass.
-	byW := make(map[int][]int)
-	for i, p := range params {
-		byW[p.W] = append(byW[p.W], i)
-	}
-	ws := make([]int, 0, len(byW))
-	for w := range byW {
-		ws = append(ws, w)
-	}
-	sort.Ints(ws)
-
-	numWin := f.SeriesLen() - n + 1
 	out := make([][]Token, len(params))
-	prev := make([]string, len(params))
-	for i := range out {
-		out[i] = make([]Token, 0, numWin/4+1)
-	}
-	coeffs := make([]float64, 0, 64)
-	wordBuf := make([]byte, 0, 64)
-	for i := 0; i < numWin; i++ {
-		for _, w := range ws {
-			coeffs = coeffs[:w]
-			if err := FastPAA(f, i, n, w, coeffs); err != nil {
-				return nil, err
-			}
-			// One interval lookup per coefficient serves every member with
-			// this w regardless of its alphabet size.
-			for _, mi := range byW[w] {
-				a := params[mi].A
-				wordBuf = wordBuf[:w]
-				if err := mr.EncodeWord(coeffs, a, wordBuf); err != nil {
-					return nil, err
-				}
-				if i == 0 || string(wordBuf) != prev[mi] {
-					word := string(wordBuf)
-					out[mi] = append(out[mi], Token{Word: word, Pos: i})
-					prev[mi] = word
-				}
-			}
-		}
+	for i, s := range seqs {
+		out[i] = s.State().Tokens
 	}
 	return out, nil
 }

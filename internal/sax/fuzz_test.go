@@ -1,18 +1,22 @@
 package sax
 
 import (
+	"reflect"
 	"testing"
 
 	"egi/internal/timeseries"
 )
 
 // FuzzSAXDiscretize feeds arbitrary series and parameter choices through
-// the accelerated discretizer and asserts, for every input that validates:
+// the shared Encoder — the production window walk with hinted Intervals
+// and packed CodeAt codes — and asserts, for every input that validates:
 // no panics, agreement with the unaccelerated reference discretizer
-// (NaiveDiscretize), and numerosity-reduction losslessness — expanding the
+// (NaiveDiscretize), numerosity-reduction losslessness (expanding the
 // token sequence reproduces one word per sliding window with the original
-// run structure. Each input byte becomes one sample on a small grid, so
-// the fuzzer can build flat stretches (the Eps path) as well as noise.
+// run structure), and that a pipeline joining the same walk halfway holds
+// the reduction of the words from its first window on. Invalid inputs must
+// come back as errors. Each input byte becomes one sample on a small grid,
+// so the fuzzer can build flat stretches (the Eps path) as well as noise.
 func FuzzSAXDiscretize(f *testing.F) {
 	f.Add([]byte("\x00\x10\x20\x30\x40\x50\x60\x70\x80\x90"), uint8(5), uint8(3), uint8(4))
 	f.Add([]byte("aaaaaaaaaaaaaaaa"), uint8(4), uint8(2), uint8(2))
@@ -42,7 +46,7 @@ func FuzzSAXDiscretize(f *testing.F) {
 		if n <= 0 || n > len(series) || p.Validate(n) != nil || mrErr != nil {
 			// Invalid inputs must be rejected, never panic.
 			if mrErr == nil {
-				if _, err := Discretize(f2, n, p, mr); err == nil {
+				if _, err := encodeSeries(f2, n, p, mr); err == nil {
 					t.Fatalf("invalid n=%d p=%v accepted", n, p)
 				}
 			}
@@ -52,10 +56,16 @@ func FuzzSAXDiscretize(f *testing.F) {
 			return
 		}
 
-		fast, err := Discretize(f2, n, p, mr)
+		numWin := len(series) - n + 1
+		enc, err := NewEncoder(mr, n, w)
 		if err != nil {
-			t.Fatalf("Discretize n=%d p=%v: %v", n, p, err)
+			t.Fatalf("NewEncoder n=%d w=%d: %v", n, w, err)
 		}
+		seq, late := NewIncrementalSeq(p, 0), NewIncrementalSeq(p, numWin/2)
+		if err := enc.Encode(f2, []*IncrementalSeq{late, seq}, numWin-1); err != nil {
+			t.Fatalf("Encode n=%d p=%v: %v", n, p, err)
+		}
+		fast := seq.State().Tokens
 		naive, err := NaiveDiscretize(series, n, p)
 		if err != nil {
 			t.Fatalf("NaiveDiscretize n=%d p=%v: %v", n, p, err)
@@ -80,7 +90,6 @@ func FuzzSAXDiscretize(f *testing.F) {
 		// Numerosity reduction round-trips: the expansion has one word
 		// per window, each of length w, and re-reducing it gives the
 		// token sequence back.
-		numWin := len(series) - n + 1
 		words, err := ExpandNumerosity(fast, numWin)
 		if err != nil {
 			t.Fatalf("ExpandNumerosity: %v", err)
@@ -106,6 +115,16 @@ func FuzzSAXDiscretize(f *testing.F) {
 			if again[i] != fast[i] {
 				t.Fatalf("re-reduction token %d: %v, want %v", i, again[i], fast[i])
 			}
+		}
+
+		// The pipeline that joined at window numWin/2 holds the reduction
+		// of the words from there on, in global positions.
+		want := NumerosityReduce(words[numWin/2:])
+		for i := range want {
+			want[i].Pos += numWin / 2
+		}
+		if got := late.State().Tokens; !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d p=%v: pipeline joining at window %d holds %v, want %v", n, p, numWin/2, got, want)
 		}
 	})
 }

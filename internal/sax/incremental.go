@@ -8,9 +8,11 @@ import (
 // IncrementalSeq is a numerosity-reduced token sequence maintained
 // incrementally over a growing stream of sliding windows, in *global*
 // window coordinates: token Pos values are absolute window start positions,
-// not span-relative ones. It is the per-member re-discretization state of
-// the detection engine: when a hop shifts the analysis span by H points,
-// the tokens for the overlapping region are kept and only the H new suffix
+// not span-relative ones. It is one ensemble member's discretization
+// state, fed by the shared Encoder: the single-run detectors run a fresh
+// one over a whole series, and the detection engine keeps one per member
+// across spans, so when a hop shifts the analysis span by H points the
+// tokens for the overlapping region are kept and only the H new suffix
 // windows are encoded, with the numerosity-reduction run state resumed at
 // the seam.
 //
@@ -19,8 +21,8 @@ import (
 // coordinate FeatureSource), Covering(start, ...) with its first token
 // re-anchored to the span start is bit-identical to numerosity-reducing a
 // from-scratch word-per-window pass over the span — the first retained
-// token stands in for the run it was cut out of, exactly as Discretize
-// would have emitted it.
+// token stands in for the run it was cut out of, exactly as a fresh
+// pipeline started at the span would have emitted it.
 //
 // Words are integers inside the pipeline: each distinct word gets a dense
 // int32 id from a per-pipeline dictionary, and tokens carry ids (IDToken).
@@ -296,7 +298,7 @@ func RestoreSeq(st SeqState) *IncrementalSeq {
 // startWin, which carries the word of the span's first window, followed by
 // every token with Pos in (startWin, endWin]. Re-anchoring the first
 // token's Pos to startWin yields, in global coordinates, exactly the token
-// sequence a from-scratch Discretize over the span would produce. The
+// sequence a fresh pipeline encoding the span would hold. The
 // sequence must already cover the span: its first token at or before
 // startWin, and NextWin() > endWin. The returned slice aliases the
 // sequence's storage and is valid until the next Append or TrimBefore.

@@ -2,7 +2,10 @@
 // paper): Piecewise Aggregate Approximation (PAA), the Gaussian breakpoint
 // alphabet, the FastPAA algorithm (Algorithm 2) built on prefix sums, the
 // multi-resolution SAX word computation of §6.2, and the numerosity
-// reduction of §4.2.
+// reduction of §4.2. Encoder combines them into the library's one
+// sliding-window walk, which feeds member pipelines (IncrementalSeq) for
+// the ensemble engine and the single-run detectors alike; NaiveDiscretize
+// is its unaccelerated reference.
 //
 // Conventions:
 //

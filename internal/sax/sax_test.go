@@ -1,8 +1,10 @@
 package sax
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -257,6 +259,20 @@ func TestExpandNumerosityErrors(t *testing.T) {
 	}
 }
 
+// encodeSeries runs the shared Encoder over every window of the series
+// for one fresh pipeline of p and renders the pipeline's tokens.
+func encodeSeries(f *timeseries.Features, n int, p Params, mr *MultiResolver) ([]Token, error) {
+	enc, err := NewEncoder(mr, n, p.W)
+	if err != nil {
+		return nil, err
+	}
+	seq := NewIncrementalSeq(p, 0)
+	if err := enc.Encode(f, []*IncrementalSeq{seq}, f.SeriesLen()-n); err != nil {
+		return nil, err
+	}
+	return seq.State().Tokens, nil
+}
+
 func TestDiscretizeMatchesNaive(t *testing.T) {
 	s := randomSeries(300, 9)
 	f, _ := timeseries.NewFeatures(s)
@@ -264,8 +280,8 @@ func TestDiscretizeMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Params{{2, 2}, {4, 4}, {5, 3}, {8, 10}, {3, 7}} {
-		fast, err := Discretize(f, 40, p, mr)
+	for _, p := range []Params{{2, 2}, {4, 4}, {5, 3}, {8, 10}, {3, 7}, {13, 6}, {14, 10}} {
+		fast, err := encodeSeries(f, 40, p, mr)
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
@@ -284,11 +300,14 @@ func TestDiscretizeMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestDiscretizeManyMatchesSingle: one encoder walk shared by every
+// pipeline of a PAA size gives each pipeline the tokens of its own walk
+// and of the naive reference.
 func TestDiscretizeManyMatchesSingle(t *testing.T) {
 	s := randomSeries(400, 21)
 	f, _ := timeseries.NewFeatures(s)
 	mr, _ := NewMultiResolver(12)
-	params := []Params{{3, 5}, {7, 2}, {3, 12}, {10, 7}, {7, 7}}
+	params := []Params{{3, 5}, {7, 2}, {3, 12}, {10, 7}, {7, 7}, {14, 3}, {14, 12}}
 	many, err := DiscretizeMany(f, 60, params, mr)
 	if err != nil {
 		t.Fatal(err)
@@ -297,17 +316,16 @@ func TestDiscretizeManyMatchesSingle(t *testing.T) {
 		t.Fatalf("got %d sequences, want %d", len(many), len(params))
 	}
 	for i, p := range params {
-		single, err := Discretize(f, 60, p, mr)
+		single, err := encodeSeries(f, 60, p, mr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(many[i]) != len(single) {
-			t.Fatalf("param %v: %d vs %d tokens", p, len(many[i]), len(single))
+		naive, err := NaiveDiscretize(s, 60, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range single {
-			if many[i][j] != single[j] {
-				t.Fatalf("param %v token %d: %v vs %v", p, j, many[i][j], single[j])
-			}
+		if !reflect.DeepEqual(many[i], single) || !reflect.DeepEqual(many[i], naive) {
+			t.Fatalf("param %v: shared walk, single walk and naive reference disagree", p)
 		}
 	}
 }
@@ -316,17 +334,34 @@ func TestDiscretizeErrors(t *testing.T) {
 	s := randomSeries(100, 2)
 	f, _ := timeseries.NewFeatures(s)
 	mr, _ := NewMultiResolver(5)
-	if _, err := Discretize(f, 0, Params{2, 3}, mr); err == nil {
+	if _, err := encodeSeries(f, 0, Params{2, 3}, mr); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := Discretize(f, 101, Params{2, 3}, mr); err == nil {
-		t.Error("n>len should error")
+	if _, err := encodeSeries(f, 101, Params{2, 3}, mr); !errors.Is(err, ErrBadWindow) {
+		t.Errorf("n>len: err %v, want ErrBadWindow", err)
 	}
-	if _, err := Discretize(f, 20, Params{2, 8}, mr); err == nil {
-		t.Error("a beyond resolver amax should error")
+	if _, err := encodeSeries(f, 20, Params{2, 8}, mr); !errors.Is(err, ErrBadAlphabet) {
+		t.Errorf("a beyond resolver amax: err %v, want ErrBadAlphabet", err)
 	}
-	if _, err := Discretize(f, 20, Params{2, 8}, nil); err == nil {
-		t.Error("nil resolver should error")
+	if _, err := encodeSeries(f, 20, Params{2, 8}, nil); !errors.Is(err, ErrBadAlphabet) {
+		t.Errorf("nil resolver: err %v, want ErrBadAlphabet", err)
+	}
+	if _, err := encodeSeries(f, 20, Params{21, 3}, mr); !errors.Is(err, ErrBadPAASize) {
+		t.Errorf("w>n: err %v, want ErrBadPAASize", err)
+	}
+	if _, err := encodeSeries(f, 20, Params{2, 1}, mr); !errors.Is(err, ErrBadAlphabet) {
+		t.Errorf("a=1: err %v, want ErrBadAlphabet", err)
+	}
+	enc, err := NewEncoder(mr, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(f, []*IncrementalSeq{NewIncrementalSeq(Params{4, 3}, 0)}, 50); !errors.Is(err, ErrBadPAASize) {
+		t.Errorf("pipeline of another PAA size: err %v, want ErrBadPAASize", err)
+	}
+	seq := NewIncrementalSeq(Params{3, 3}, 0)
+	if err := enc.Encode(f, []*IncrementalSeq{seq}, -1); !errors.Is(err, ErrBadWindow) || seq.NextWin() != 0 {
+		t.Errorf("windows before the source: err %v, next window %d", err, seq.NextWin())
 	}
 	if _, err := DiscretizeMany(f, 20, nil, mr); err == nil {
 		t.Error("no params should error")
@@ -341,7 +376,7 @@ func TestDiscretizeTokenInvariants(t *testing.T) {
 	f, _ := timeseries.NewFeatures(s)
 	mr, _ := NewMultiResolver(8)
 	p := Params{5, 6}
-	tokens, err := Discretize(f, 30, p, mr)
+	tokens, err := encodeSeries(f, 30, p, mr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +408,8 @@ func TestWordLengthsAcrossParams(t *testing.T) {
 	s := randomSeries(150, 77)
 	f, _ := timeseries.NewFeatures(s)
 	mr, _ := NewMultiResolver(6)
-	t1, _ := Discretize(f, 25, Params{3, 4}, mr)
-	t2, _ := Discretize(f, 25, Params{6, 4}, mr)
+	t1, _ := encodeSeries(f, 25, Params{3, 4}, mr)
+	t2, _ := encodeSeries(f, 25, Params{6, 4}, mr)
 	set := map[string]bool{}
 	for _, tok := range t1 {
 		set[tok.Word] = true

@@ -1,14 +1,16 @@
 package sequitur
 
-// This file exports the induction engine as a resumable Builder: the same
-// greedy Sequitur construction as Induce, but with the mutable state kept
-// alive between calls so a caller can append tokens to a grammar it already
-// holds instead of re-inducing the whole sequence. Sequitur is inherently
-// online — Induce itself is a loop of single-token pushes — so a Builder
-// fed the tokens t1..tk in any grouping holds exactly the grammar that
-// Induce(t1..tk) would return (the resumable property tests pin this).
+// This file exports the induction engine as a resumable Builder: greedy
+// Sequitur construction with the mutable state kept alive between calls,
+// so a caller can append tokens to a grammar it already holds instead of
+// re-inducing the whole sequence. Sequitur is inherently online — one
+// token push at a time — so a Builder fed the tokens t1..tk in any
+// grouping holds exactly the grammar one pass over t1..tk induces (the
+// resumable property tests pin this against a one-call oracle).
 //
-// The streaming engine uses one Builder per ensemble member: each hop
+// Every detector induces through a Builder. The single-run detectors feed
+// one a whole series' tokens and freeze it; the streaming engine uses one
+// Builder per ensemble member: each hop
 // appends only the hop's new tokens (amortized O(hop) instead of O(span)
 // induction per run), and Reset rebases the grammar onto the live span
 // every K hops so rules anchored in expired tokens don't accumulate. Reset
@@ -40,17 +42,18 @@ func NewBuilderSize(sizeHint int) *Builder {
 
 // Push appends one terminal token to the grammar and restores the Sequitur
 // invariants. After pushing tokens t1..tk (across any number of calls since
-// the last Reset) the builder holds exactly the grammar Induce(t1..tk)
-// would produce.
+// the last Reset) the builder holds exactly the grammar Sequitur induces
+// from t1..tk.
 func (r *Builder) Push(word string) {
 	r.PushID(r.b.internWord(word))
 }
 
 // PushID appends one terminal token given as a word id (>= 0) and restores
 // the Sequitur invariants. Ids only compare for equality: a builder fed the
-// ids of t1..tk holds the grammar Induce(t1..tk) would produce, with each
+// ids of t1..tk holds the grammar Sequitur induces from t1..tk, with each
 // terminal's Term the pushed id instead of an index into Grammar.Words
-// (which stays empty). The builder does no interning on this path.
+// (which stays empty for the caller to fill from its own dictionary). The
+// builder does no interning on this path.
 func (r *Builder) PushID(id int32) {
 	r.b.push(id)
 	r.count++
@@ -82,10 +85,10 @@ func (r *Builder) Reset() {
 	r.last = 0
 }
 
-// Grammar freezes the current state into an immutable Grammar, exactly as
-// Induce over the tokens pushed since the last Reset would return it. The
-// builder remains usable: freezing is non-destructive and further pushes
-// continue the same grammar.
+// Grammar freezes the current state into an immutable Grammar: the
+// grammar of the tokens pushed since the last Reset. The builder remains
+// usable: freezing is non-destructive and further pushes continue the same
+// grammar.
 func (r *Builder) Grammar() (*Grammar, error) {
 	if r.count == 0 {
 		return nil, ErrEmptyInput

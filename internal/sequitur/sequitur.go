@@ -13,10 +13,12 @@
 // arena: nodes and rules live in flat slices and link by index, and the
 // digram index is a flat open-addressing table (internal/idmap) keyed by
 // the packed symbol pair, so the state holds no pointers for the garbage
-// collector to scan. Words enter as strings (Induce, Builder.Push) or as
-// integer ids (Builder.PushID, the detection engine's path). The result is
-// frozen into an immutable Grammar value that the rest of the library
-// (rule density curves, anomaly ranking) consumes.
+// collector to scan. The one front end is the resumable Builder: words
+// enter as integer ids (Builder.PushID), the path of every detector, which
+// feed it their SAX pipelines' dictionary ids, or as strings
+// (Builder.Push). Builder.Grammar freezes the state into an immutable
+// Grammar value that the rest of the library (rule density curves, motifs,
+// RRA intervals) consumes.
 package sequitur
 
 import (
@@ -25,7 +27,7 @@ import (
 	"strings"
 )
 
-// ErrEmptyInput is returned when Induce is called with no tokens.
+// ErrEmptyInput is returned when a grammar is requested over no tokens.
 var ErrEmptyInput = errors.New("sequitur: empty input sequence")
 
 // Symbol is one entry on the right-hand side of a production. It is either
@@ -145,17 +147,4 @@ func (g *Grammar) visit(id, offset, cutoff int, fn func(ruleID, start, end int))
 			offset++
 		}
 	}
-}
-
-// Induce runs Sequitur over the token sequence and returns the frozen
-// grammar. It is linear in len(tokens) up to hashing.
-func Induce(tokens []string) (*Grammar, error) {
-	if len(tokens) == 0 {
-		return nil, ErrEmptyInput
-	}
-	b := newBuilder(len(tokens))
-	for _, tok := range tokens {
-		b.push(b.internWord(tok))
-	}
-	return b.freeze(), nil
 }
