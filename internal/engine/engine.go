@@ -242,17 +242,10 @@ type Result struct {
 var ErrNoUsableCurves = errors.New("engine: no usable rule density curves (is the series constant?)")
 
 // Source is the data access an Engine needs: constant-time range sums over
-// a retained span of global positions. timeseries.Features (First()==0,
-// whole series) and timeseries.RingFeatures (rolling window of a stream)
-// both implement it.
-type Source interface {
-	// First is the earliest retained (queryable) position.
-	First() int
-	// End is the exclusive end of the retained positions.
-	End() int
-	RangeSum(p, q int) float64
-	RangeSum2(p, q int) float64
-}
+// a retained span of global positions, the source its encoders walk.
+// timeseries.Features (First()==0, whole series) and
+// timeseries.RingFeatures (rolling window of a stream) both implement it.
+type Source = sax.WindowSource
 
 // group is one PAA size's encode task: the span's members with that size,
 // their pipelines, and the size's encoder. Groups touch disjoint member

@@ -17,7 +17,6 @@ package rra
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -43,7 +42,8 @@ type Anomaly struct {
 
 // Config tunes Detect. Zero values select sensible defaults.
 type Config struct {
-	// Window is the SAX sliding window length. Required.
+	// Window is the SAX sliding window length, at least 2 and at most the
+	// series length. Required.
 	Window int
 	// Params are the discretization parameters (default w=4, a=4, the
 	// GrammarViz generic choice).
@@ -68,9 +68,6 @@ func (c Config) normalized() (Config, error) {
 	if c.MaxCandidates == 0 {
 		c.MaxCandidates = 200
 	}
-	if c.Window < 2 {
-		return c, fmt.Errorf("rra: window must be >= 2, got %d", c.Window)
-	}
 	if c.TopK < 1 {
 		return c, errors.New("rra: topK must be >= 1")
 	}
@@ -89,12 +86,6 @@ func Detect(series timeseries.Series, cfg Config) ([]Anomaly, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
-	}
-	if err := series.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Window > len(series) {
-		return nil, fmt.Errorf("rra: window %d exceeds series length %d", cfg.Window, len(series))
 	}
 	f, err := timeseries.NewFeatures(series)
 	if err != nil {
