@@ -47,13 +47,12 @@
 // so encoding runs as one task per w: the size's sax.Encoder, the window
 // walk the single-run detectors use too, brings that group's pipelines up
 // to the span's last window; the task then frees its slot and starts one
-// task per group member for induction and the density curve. The
-// single-run detector (grammar.Detect) is one such member run over a whole
-// series. Induction of one group thus
-// overlaps the encoding of the others, and no phase of the span runs on
-// one core while the others wait. Each task writes only its own members'
-// state and a word depends only on its window, so results are identical
-// at every Parallelism, including 1.
+// task per group member for induction and the density curve. Induction of
+// one group thus overlaps the encoding of the others, and no phase of the
+// span runs on one core while the others wait. Each task writes only its
+// own members' state and a word depends only on its window, so results
+// are identical at every Parallelism, including 1. The single-run detector
+// (grammar.Detect) is one such member run over a whole series.
 package engine
 
 import (

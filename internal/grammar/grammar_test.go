@@ -258,6 +258,13 @@ func TestDetectWithSharedResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	small, err := sax.NewMultiResolver(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Detect(s, 40, sax.Params{W: 6, A: 8}, small, 3); !errors.Is(err, sax.ErrBadAlphabet) {
+		t.Errorf("alphabet 8 over a resolver of 4: err %v, want ErrBadAlphabet", err)
+	}
 	for i := range r1.Curve {
 		if r1.Curve[i] != r2.Curve[i] {
 			t.Fatalf("curve differs at %d with/without shared resolver", i)
@@ -274,26 +281,5 @@ func TestDensityCurveClampsAtSeriesEnd(t *testing.T) {
 	}
 	if len(curve) != 6 {
 		t.Fatalf("curve length %d, want 6", len(curve))
-	}
-}
-
-// TestSingleRunParamErrors: parameters the encoder cannot serve come back
-// as errors, never as a panic — an alphabet beyond the shared resolver
-// wraps sax.ErrBadAlphabet, and a PAA size beyond the window is rejected.
-func TestSingleRunParamErrors(t *testing.T) {
-	s := periodicWithAnomaly(400, 40, 200, 4)
-	f, err := timeseries.NewFeatures(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mr, err := sax.NewMultiResolver(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DetectWithFeatures(f, 40, sax.Params{W: 6, A: 8}, mr, 3); !errors.Is(err, sax.ErrBadAlphabet) {
-		t.Errorf("alphabet 8 over a resolver of 4: err %v, want ErrBadAlphabet", err)
-	}
-	if _, err := FindMotifs(s, 40, sax.Params{W: 41, A: 4}, 3); err == nil {
-		t.Error("FindMotifs with w > window should error")
 	}
 }

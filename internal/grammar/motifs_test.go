@@ -87,6 +87,9 @@ func TestTopMotifsErrors(t *testing.T) {
 	if _, err := FindMotifs(s, 200, sax.Params{W: 4, A: 4}, 3); err == nil {
 		t.Error("n>len should error")
 	}
+	if _, err := FindMotifs(s, 20, sax.Params{W: 21, A: 4}, 3); err == nil {
+		t.Error("w>n should error")
+	}
 }
 
 func TestDedupeOverlaps(t *testing.T) {

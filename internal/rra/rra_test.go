@@ -159,12 +159,3 @@ func znormRef(x []float64) []float64 {
 	}
 	return out
 }
-
-// TestDetectPAABeyondWindow: a PAA size larger than the window is an
-// error, not a panic.
-func TestDetectPAABeyondWindow(t *testing.T) {
-	s := periodicWithAnomaly(400, 40, 200, 4)
-	if _, err := Detect(s, Config{Window: 40, Params: sax.Params{W: 41, A: 4}}); err == nil {
-		t.Error("w > window should error")
-	}
-}

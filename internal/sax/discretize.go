@@ -15,6 +15,46 @@ type Token struct {
 	Pos  int
 }
 
+// NumerosityReduce compresses a raw word-per-window sequence by keeping
+// only the first of each run of consecutive identical words, together with
+// its window offset (§4.2). The result is lossless given the total window
+// count: the run for token i extends to the position of token i+1.
+func NumerosityReduce(words []string) []Token {
+	out := make([]Token, 0, len(words))
+	prev := ""
+	for i, w := range words {
+		if i == 0 || w != prev {
+			out = append(out, Token{Word: w, Pos: i})
+			prev = w
+		}
+	}
+	return out
+}
+
+// ExpandNumerosity reconstructs the raw word-per-window sequence from a
+// numerosity-reduced token sequence and the total number of windows. It is
+// the inverse of NumerosityReduce and exists chiefly to state (and test)
+// the losslessness property.
+func ExpandNumerosity(tokens []Token, numWindows int) ([]string, error) {
+	if numWindows < 0 {
+		return nil, fmt.Errorf("sax: negative window count %d", numWindows)
+	}
+	out := make([]string, numWindows)
+	for i, tok := range tokens {
+		end := numWindows
+		if i+1 < len(tokens) {
+			end = tokens[i+1].Pos
+		}
+		if tok.Pos < 0 || tok.Pos >= end || end > numWindows {
+			return nil, fmt.Errorf("sax: token %d has inconsistent position %d", i, tok.Pos)
+		}
+		for j := tok.Pos; j < end; j++ {
+			out[j] = tok.Word
+		}
+	}
+	return out, nil
+}
+
 // WindowSource is what an Encoder walks: constant-time range sums over the
 // retained positions [First(), End()) of a series, in its own coordinates.
 // timeseries.Features (a whole series) and timeseries.RingFeatures (the
@@ -115,7 +155,7 @@ func (e *Encoder) Encode(src WindowSource, pipes []*IncrementalSeq, lastWin int)
 	if len(pending) == 0 {
 		return nil
 	}
-	sums := FeatureSource(src)
+	sums := FeatureSource(src) // converted once, not twice per window
 	packed := w <= MaxPackedW
 	active := 0
 	for win := pending[0].NextWin(); win <= lastWin; win++ {
