@@ -258,17 +258,18 @@ func TestDetectWithSharedResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range r1.Curve {
+		if r1.Curve[i] != r2.Curve[i] {
+			t.Fatalf("curve differs at %d with/without shared resolver", i)
+		}
+	}
+	// A shared resolver too small for the alphabet is an error, not a panic.
 	small, err := sax.NewMultiResolver(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Detect(s, 40, sax.Params{W: 6, A: 8}, small, 3); !errors.Is(err, sax.ErrBadAlphabet) {
 		t.Errorf("alphabet 8 over a resolver of 4: err %v, want ErrBadAlphabet", err)
-	}
-	for i := range r1.Curve {
-		if r1.Curve[i] != r2.Curve[i] {
-			t.Fatalf("curve differs at %d with/without shared resolver", i)
-		}
 	}
 }
 
