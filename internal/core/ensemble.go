@@ -166,9 +166,9 @@ func ComputeMembers(f *timeseries.Features, cfg Config) ([]MemberCurve, error) {
 // CombineMembers performs lines 9–14 of Algorithm 1 on precomputed member
 // curves: rank by standard deviation, keep the top tau fraction, normalize
 // each survivor, merge, and rank anomalies on the combined curve. Only
-// cfg.Tau, cfg.Window, cfg.TopK, cfg.Combine and cfg.Normalize are used,
-// so callers can sweep those cheaply over one set of members. The input
-// curves are not mutated.
+// cfg.Tau, cfg.Window, cfg.TopK, cfg.Combine, cfg.Normalize and
+// cfg.Parallelism are used, so callers can sweep the first five cheaply
+// over one set of members. The input curves are not mutated.
 func CombineMembers(memberCurves []MemberCurve, cfg Config) (*Result, error) {
 	return engine.Combine(memberCurves, cfg)
 }

@@ -8,10 +8,11 @@ import (
 	"egi/internal/timeseries"
 )
 
-// Stage benchmarks of the member stage at paper scale: gen.ECG(50000, 200,
-// 1), the paper's parameter grid, Parallelism 1. They time the two halves
-// of a member's work separately, so a change to one layer shows its own
-// before/after instead of only the whole-detector figure.
+// Stage benchmarks at paper scale: gen.ECG(50000, 200, 1) and the paper's
+// parameter grid. The member stage's two halves run at Parallelism 1, the
+// combination at the default. They time each stage separately, so a change
+// to one layer shows its own before/after instead of only the
+// whole-detector figure.
 
 const (
 	stageLen    = 50000
@@ -94,6 +95,28 @@ func BenchmarkEngineInduce(b *testing.B) {
 			for _, id := range ids {
 				bld.PushID(id)
 			}
+		}
+	}
+}
+
+// BenchmarkEngineCombine times lines 9–14 of Algorithm 1 over the 50
+// member curves of the stage source at the paper's τ: the selection, the
+// column pass that normalizes and takes the pointwise median, and the
+// top-3 ranking. Parallelism is the default, GOMAXPROCS, so -cpu sets the
+// number of column blocks.
+func BenchmarkEngineCombine(b *testing.B) {
+	src := stageSource(b)
+	e, err := New(Config{Window: stageWindow})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.DetectSpan(src, 0, stageLen, stageSeed); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := e.comb.combine(e.curves, e.cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -39,7 +39,10 @@
 // induction; the amortized property tests pin that the resumable state is
 // always exactly the grammar a from-scratch induction over the epoch's
 // tokens would build. Curve combination then runs per span exactly as in
-// the batch detector.
+// the batch detector: the survivors are read, never rewritten, by one pass
+// over the span's columns that normalizes each gathered value and takes
+// the column's median, and grammar.RankAnomalies picks the top K in K
+// linear scans.
 //
 // The member stage of a span is a pipeline of tasks sharing the
 // Config.Parallelism slots. Members that share a PAA size w share the §6.2
@@ -48,11 +51,15 @@
 // walk the single-run detectors use too, brings that group's pipelines up
 // to the span's last window; the task then frees its slot and starts one
 // task per group member for induction and the density curve. Induction of
-// one group thus overlaps the encoding of the others, and no phase of the
-// span runs on one core while the others wait. Each task writes only its
-// own members' state and a word depends only on its window, so results
-// are identical at every Parallelism, including 1. The single-run detector
-// (grammar.Detect) is one such member run over a whole series.
+// one group thus overlaps the encoding of the others. The combination runs
+// once every member task is done; its column pass is split into at most
+// Parallelism contiguous blocks that run concurrently, so what stays on
+// one core after the member stage is the selection of the kept curves and
+// the K ranking scans. Each task writes only its own members' state (a
+// column block only its own columns) and a word depends only on its
+// window, so results are identical at every Parallelism, including 1. The
+// single-run detector (grammar.Detect) is one such member run over a
+// whole series.
 package engine
 
 import (
@@ -128,10 +135,11 @@ type Config struct {
 	Combine Combiner
 	// Normalize selects the per-curve normalization (max by default).
 	Normalize Normalizer
-	// Parallelism caps concurrent encode and member tasks: the per-PAA-size
-	// SAX encoding and the per-member induction/density-curve work of one
-	// span; <= 0 means GOMAXPROCS, and 1 runs the same tasks in sequence.
-	// Results do not depend on it.
+	// Parallelism caps concurrent encode and member tasks — the
+	// per-PAA-size SAX encoding and the per-member induction/density-curve
+	// work of one span — and the column blocks of its combination; <= 0
+	// means GOMAXPROCS, and 1 runs the same work in sequence. Results do
+	// not depend on it.
 	Parallelism int
 	// RebaseEvery bounds how many spans a member's resumable induction
 	// epoch may cover before its grammar is rebuilt over the current span
@@ -303,8 +311,7 @@ type Engine struct {
 	// Pooled hot-path scratch.
 	groups  []group       // encode tasks, indexed by PAA size
 	curves  []MemberCurve // member outputs for the current span (curve storage reused)
-	stds    []float64
-	kept    [][]float64
+	comb    combiner      // combination scratch, reused across spans
 	errs    []error
 	sem     chan struct{} // one token per running encode or member task
 	running sync.WaitGroup
@@ -634,9 +641,9 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, star
 // DetectSpan runs Algorithm 1 over the span [start, end) of the source,
 // with the given parameter-generation seed, and returns the combined curve
 // (span-local, values in [0,1]), the ranked candidates, and the member
-// bookkeeping. Member curves are normalized in place inside pooled
-// buffers; the returned Result owns fresh memory and survives further
-// engine use.
+// bookkeeping. Member curves live in pooled buffers and are read, never
+// rewritten, by the combination; the returned Result owns fresh memory and
+// survives further engine use.
 func (e *Engine) DetectSpan(src Source, start, end int, seed int64) (*Result, error) {
 	if err := e.checkSpan(src, start, end); err != nil {
 		return nil, err
@@ -646,7 +653,7 @@ func (e *Engine) DetectSpan(src Source, start, end int, seed int64) (*Result, er
 	if err := e.runMembers(src, params, start, end); err != nil {
 		return nil, err
 	}
-	return e.combinePooled(e.curves)
+	return e.comb.combine(e.curves, e.cfg)
 }
 
 // MemberCurves runs only the member stage of the span (lines 4–8 of
@@ -707,7 +714,7 @@ func (e *Engine) computeFootprint() int64 {
 		}
 		total += int64(cap(st.pos)) * 8
 	}
-	const sliceHeader, stringHeader, memberCurveSize = 24, 16, 48
+	const stringHeader, memberCurveSize = 16, 48
 	for _, m := range e.curves[:cap(e.curves)] {
 		total += int64(cap(m.Curve)) * 8
 	}
@@ -720,8 +727,7 @@ func (e *Engine) computeFootprint() int64 {
 		}
 	}
 	total += int64(cap(e.curves)) * memberCurveSize
-	total += int64(cap(e.stds)) * 8
-	total += int64(cap(e.kept)) * sliceHeader
+	total += e.comb.memoryBytes()
 	total += int64(cap(e.errs)) * stringHeader
 	return total
 }
@@ -872,43 +878,53 @@ func (e *Engine) TrimBefore(pos int) {
 	e.fpOK = false
 }
 
-// combinePooled performs lines 9–14 of Algorithm 1 on the pooled member
-// curves, normalizing survivors in place (the pooled buffers are reused
-// next span anyway).
-func (e *Engine) combinePooled(memberCurves []MemberCurve) (*Result, error) {
-	return combine(memberCurves, e.cfg, true, e)
-}
-
 // Combine performs lines 9–14 of Algorithm 1 on caller-owned precomputed
 // member curves: rank by standard deviation, keep the top tau fraction,
-// normalize each survivor (into a copy — the inputs are not mutated),
-// merge, and rank anomalies on the combined curve. Only cfg.Tau,
-// cfg.Window, cfg.TopK, cfg.Combine and cfg.Normalize are used, so callers
-// can sweep those cheaply over one set of members.
+// normalize each survivor, merge, and rank anomalies on the combined curve.
+// The inputs are not mutated. Only cfg.Tau, cfg.Window, cfg.TopK,
+// cfg.Combine, cfg.Normalize and cfg.Parallelism are used, so callers can
+// sweep the first five cheaply over one set of members.
 func Combine(memberCurves []MemberCurve, cfg Config) (*Result, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
 	}
-	return combine(memberCurves, cfg, false, nil)
+	var cb combiner
+	return cb.combine(memberCurves, cfg)
 }
 
-func combine(memberCurves []MemberCurve, cfg Config, inPlace bool, e *Engine) (*Result, error) {
+// combiner is the scratch of lines 9–14 of Algorithm 1, which an engine
+// keeps across spans. Survivors are never rewritten: each keeps its curve
+// and the normalization to apply (stat.Scale), and the column kernels
+// apply it as they gather a column.
+type combiner struct {
+	stds    []float64
+	kept    [][]float64
+	scales  []stat.Scale
+	scratch []stat.ColumnScratch // one per column block
+}
+
+// memoryBytes is the combiner's retained scratch, at capacity.
+func (cb *combiner) memoryBytes() int64 {
+	const sliceHeader, scaleSize = 24, 24
+	total := int64(cap(cb.stds))*8 + int64(cap(cb.kept))*sliceHeader + int64(cap(cb.scales))*scaleSize
+	for i := range cb.scratch {
+		total += cb.scratch[i].MemoryBytes()
+	}
+	return total
+}
+
+func (cb *combiner) combine(memberCurves []MemberCurve, cfg Config) (*Result, error) {
 	if len(memberCurves) == 0 {
 		return nil, errors.New("engine: no member curves")
 	}
 	members := make([]Member, len(memberCurves))
-	var stds []float64
-	if e != nil {
-		stds = e.stds[:0]
-	}
+	stds := cb.stds[:0]
 	for i, m := range memberCurves {
 		members[i] = Member{Params: m.Params, Std: m.Std}
 		stds = append(stds, m.Std)
 	}
-	if e != nil {
-		e.stds = stds
-	}
+	cb.stds = stds
 
 	keep := int(cfg.Tau * float64(len(memberCurves)))
 	if keep < 1 {
@@ -918,10 +934,7 @@ func combine(memberCurves []MemberCurve, cfg Config, inPlace bool, e *Engine) (*
 		keep = len(memberCurves)
 	}
 	order := stat.ArgSortDesc(stds)
-	var kept [][]float64
-	if e != nil {
-		kept = e.kept[:0]
-	}
+	kept, scales := cb.kept[:0], cb.scales[:0]
 	for _, idx := range order[:keep] {
 		if stds[idx] <= 0 {
 			// A flat curve carries no anomaly signal; never include it,
@@ -930,42 +943,62 @@ func combine(memberCurves []MemberCurve, cfg Config, inPlace bool, e *Engine) (*
 		}
 		members[idx].Kept = true
 		curve := memberCurves[idx].Curve
-		if inPlace {
-			if cfg.Normalize == NormalizeMinMax {
-				stat.MinMaxNormalizeInPlace(curve)
-			} else {
-				stat.NormalizeByMaxInPlace(curve)
-			}
+		if cfg.Normalize == NormalizeMinMax {
+			scales = append(scales, stat.MinMaxScale(curve))
 		} else {
-			if cfg.Normalize == NormalizeMinMax {
-				curve = stat.MinMaxNormalize(curve)
-			} else {
-				curve = stat.NormalizeByMax(curve)
-			}
+			scales = append(scales, stat.MaxScale(curve))
 		}
 		kept = append(kept, curve)
 	}
-	if e != nil {
-		e.kept = kept
-	}
+	cb.kept, cb.scales = kept, scales
 	if len(kept) == 0 {
 		return nil, ErrNoUsableCurves
 	}
+	width := len(kept[0])
+	for _, c := range kept[1:] {
+		if len(c) != width {
+			return nil, errors.New("engine: member curves have unequal lengths")
+		}
+	}
 
-	var curve []float64
-	var err error
-	switch cfg.Combine {
-	case CombineMean:
-		curve, err = stat.ColumnMeans(kept)
-	default:
-		curve, err = stat.ColumnMedians(kept)
-	}
-	if err != nil {
-		return nil, err
-	}
+	curve := make([]float64, width)
+	cb.columns(curve, cfg)
 	cands, err := grammar.RankAnomalies(curve, cfg.Window, cfg.TopK)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Curve: curve, Candidates: cands, Members: members}, nil
+}
+
+// columns fills curve with the merged survivors in one pass over the
+// columns, split into at most cfg.Parallelism contiguous blocks that run
+// concurrently, each with its own column scratch. A column's value depends
+// on that column alone (the sort order a block carries from column to
+// column only makes sorting cheaper), so the curve does not depend on
+// Parallelism.
+func (cb *combiner) columns(curve []float64, cfg Config) {
+	blocks := min(cfg.Parallelism, len(curve))
+	for len(cb.scratch) < blocks {
+		cb.scratch = append(cb.scratch, stat.ColumnScratch{})
+	}
+	block := func(k int) {
+		lo, hi := k*len(curve)/blocks, (k+1)*len(curve)/blocks
+		if cfg.Combine == CombineMean {
+			stat.ColumnMeans(curve, cb.kept, cb.scales, lo, hi)
+			return
+		}
+		stat.ColumnMedians(curve, cb.kept, cb.scales, lo, hi, &cb.scratch[k])
+	}
+	var wg sync.WaitGroup
+	for k := 1; k < blocks; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			block(k)
+		}()
+	}
+	if blocks > 0 {
+		block(0)
+	}
+	wg.Wait()
 }

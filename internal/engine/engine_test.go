@@ -206,8 +206,8 @@ func TestMemberCurvesMatchDetectSpan(t *testing.T) {
 	resultsEqual(t, "members+combine", full, combined)
 }
 
-// TestCombineDoesNotMutateInputs: the standalone Combine normalizes into
-// copies; sweep callers rely on reusing the member curves.
+// TestCombineDoesNotMutateInputs: the standalone Combine never rewrites
+// the member curves; sweep callers rely on reusing them.
 func TestCombineDoesNotMutateInputs(t *testing.T) {
 	series := genSeries(600, 20, 13)
 	f, err := timeseries.NewFeatures(series)

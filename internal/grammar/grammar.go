@@ -20,7 +20,6 @@ import (
 
 	"egi/internal/sax"
 	"egi/internal/sequitur"
-	"egi/internal/stat"
 	"egi/internal/timeseries"
 )
 
@@ -70,6 +69,12 @@ func WindowScores(curve []float64, n int) ([]float64, error) {
 // a rule density curve: window start positions are ranked by ascending mean
 // window density (ties broken toward the leftmost position), and a window
 // is skipped if it overlaps an already selected candidate.
+//
+// The ranking is never sorted: pass j is one linear scan that picks the
+// lowest score, leftmost on ties, among the windows no earlier pick
+// overlaps, then masks the windows the pick overlaps. That is the window
+// the greedy scan of the ascending order would accept next, so the cost is
+// O(topK·len(curve)) instead of a sort of every window.
 func RankAnomalies(curve []float64, n, topK int) ([]Candidate, error) {
 	if topK < 1 {
 		return nil, ErrBadTopK
@@ -78,21 +83,21 @@ func RankAnomalies(curve []float64, n, topK int) ([]Candidate, error) {
 	if err != nil {
 		return nil, err
 	}
-	order := stat.ArgSortAsc(scores)
+	blocked := make([]bool, len(scores))
 	var out []Candidate
-	for _, p := range order {
-		if len(out) == topK {
-			break
-		}
-		overlaps := false
-		for _, c := range out {
-			if p < c.Pos+c.Length && c.Pos < p+n {
-				overlaps = true
-				break
+	for len(out) < topK {
+		best := -1
+		for p, s := range scores {
+			if !blocked[p] && (best < 0 || s < scores[best]) {
+				best = p
 			}
 		}
-		if !overlaps {
-			out = append(out, Candidate{Pos: p, Length: n, Density: scores[p]})
+		if best < 0 {
+			break
+		}
+		out = append(out, Candidate{Pos: best, Length: n, Density: scores[best]})
+		for p := max(best-n+1, 0); p < min(best+n, len(scores)); p++ {
+			blocked[p] = true
 		}
 	}
 	return out, nil
@@ -117,36 +122,9 @@ type Result struct {
 // from the token words. The resolver mr must cover p.A; pass nil to have
 // one built on the fly.
 func InduceMember(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver) (*sequitur.Grammar, []int, error) {
-	if n < 2 {
-		return nil, nil, fmt.Errorf("%w: n=%d", ErrBadWindowN, n)
-	}
-	if n > f.SeriesLen() {
-		return nil, nil, fmt.Errorf("%w: n=%d len=%d", ErrBadSeries, n, f.SeriesLen())
-	}
-	if mr == nil {
-		var err error
-		if mr, err = sax.NewMultiResolver(p.A); err != nil {
-			return nil, nil, err
-		}
-	}
-	enc, err := sax.NewEncoder(mr, n, p.W)
+	b, seq, pos, err := induceLive(f, n, p, mr)
 	if err != nil {
 		return nil, nil, err
-	}
-	seq := sax.NewIncrementalSeq(p, 0)
-	lastWin := f.SeriesLen() - n
-	if err := enc.Encode(f, []*sax.IncrementalSeq{seq}, lastWin); err != nil {
-		return nil, nil, err
-	}
-	toks, err := seq.Covering(0, lastWin)
-	if err != nil {
-		return nil, nil, err
-	}
-	b := sequitur.NewBuilderSize(len(toks))
-	pos := make([]int, len(toks))
-	for i, tk := range toks {
-		b.PushID(tk.ID)
-		pos[i] = tk.Pos
 	}
 	g, err := b.Grammar()
 	if err != nil {
@@ -160,10 +138,48 @@ func InduceMember(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiReso
 	return g, pos, nil
 }
 
+// induceLive is InduceMember up to the live builder: it returns the
+// builder fed the member's word ids, the member's pipeline (whose
+// dictionary renders those ids) and each token's window start position.
+func induceLive(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver) (*sequitur.Builder, *sax.IncrementalSeq, []int, error) {
+	if n < 2 {
+		return nil, nil, nil, fmt.Errorf("%w: n=%d", ErrBadWindowN, n)
+	}
+	if n > f.SeriesLen() {
+		return nil, nil, nil, fmt.Errorf("%w: n=%d len=%d", ErrBadSeries, n, f.SeriesLen())
+	}
+	if mr == nil {
+		var err error
+		if mr, err = sax.NewMultiResolver(p.A); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	enc, err := sax.NewEncoder(mr, n, p.W)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	seq := sax.NewIncrementalSeq(p, 0)
+	lastWin := f.SeriesLen() - n
+	if err := enc.Encode(f, []*sax.IncrementalSeq{seq}, lastWin); err != nil {
+		return nil, nil, nil, err
+	}
+	toks, err := seq.Covering(0, lastWin)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	b := sequitur.NewBuilderSize(len(toks))
+	pos := make([]int, len(toks))
+	for i, tk := range toks {
+		b.PushID(tk.ID)
+		pos[i] = tk.Pos
+	}
+	return b, seq, pos, nil
+}
+
 // Detect runs the full single-parameter pipeline of §5 (the GrammarViz
 // detector), which is one ensemble member of Algorithm 1 ranked on its
 // own: induce the member's grammar over the series with sliding window n
-// and parameters p (InduceMember), build its rule density curve, and rank
+// and parameters p as InduceMember does, build its rule density curve, and rank
 // the topK anomaly candidates. Its curve is bit-identical to the raw curve
 // the ensemble computes for the same member. The resolver mr must cover
 // p.A; pass nil to have one built on the fly.
@@ -177,12 +193,15 @@ func Detect(series timeseries.Series, n int, p sax.Params, mr *sax.MultiResolver
 
 // DetectWithFeatures is Detect for callers that already computed the
 // prefix-sum features (the ensemble shares one Features across members).
+// It scores the live builder, which serves rule occurrences and the rule
+// count as they are, so the grammar is never frozen nor its words
+// rendered; only FindMotifs and internal/rra need that form.
 func DetectWithFeatures(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver, topK int) (*Result, error) {
-	g, pos, err := InduceMember(f, n, p, mr)
+	b, _, pos, err := induceLive(f, n, p, mr)
 	if err != nil {
 		return nil, err
 	}
-	curve, err := WindowedDensityInto(nil, g, pos, 0, f.SeriesLen(), n)
+	curve, err := WindowedDensityInto(nil, b, pos, 0, f.SeriesLen(), n)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +213,7 @@ func DetectWithFeatures(f *timeseries.Features, n int, p sax.Params, mr *sax.Mul
 		Params:     p,
 		Curve:      curve,
 		Candidates: cands,
-		NumRules:   g.NumRules(),
+		NumRules:   b.NumRules(),
 		NumTokens:  len(pos),
 	}, nil
 }

@@ -76,8 +76,10 @@ type WindowSource interface {
 // Intervals, hinted with the previous window's intervals); each pipeline
 // then encodes only its own alphabet from the intervals, as a packed code
 // (CodeAt, AppendCode) for w up to MaxPackedW and as word bytes (WordAt,
-// Append) above it. Pipelines may resume at different windows; each joins
-// the walk once it reaches its NextWin.
+// Append) above it. A window whose intervals all equal the previous
+// window's repeats every word, so the pipelines that encoded that window
+// just advance. Pipelines may resume at different windows; each joins the
+// walk once it reaches its NextWin.
 //
 // The detection engine runs one Encoder per PAA size of a span's members,
 // and the single-run detectors run one over a single fresh pipeline, so
@@ -159,6 +161,7 @@ func (e *Encoder) Encode(src WindowSource, pipes []*IncrementalSeq, lastWin int)
 	packed := w <= MaxPackedW
 	active := 0
 	for win := pending[0].NextWin(); win <= lastWin; win++ {
+		walking := active // pipelines that encoded the previous window
 		for active < len(pending) && pending[active].NextWin() == win {
 			active++
 		}
@@ -169,10 +172,23 @@ func (e *Encoder) Encode(src WindowSource, pipes []*IncrementalSeq, lastWin int)
 		// Breakpoint intervals depend on the coefficients alone, so the
 		// pipelines share one resolution and encode only their alphabet's
 		// symbols from it.
-		if err := e.mr.Intervals(e.coeffs, e.ivals); err != nil {
+		moved, err := e.mr.Intervals(e.coeffs, e.ivals)
+		if err != nil {
 			return err
 		}
-		for _, s := range pending[:active] {
+		encode := pending[:active]
+		if !moved {
+			// Every alphabet's word is the previous window's, so each
+			// pipeline that encoded that window would append the same word
+			// again, which numerosity reduction makes a one-window advance.
+			// Only pipelines joining here encode. On the call's first window
+			// no pipeline is walking yet; its hints come from an earlier call.
+			for _, s := range pending[:walking] {
+				s.repeat()
+			}
+			encode = pending[walking:active]
+		}
+		for _, s := range encode {
 			if packed {
 				s.AppendCode(e.mr.CodeAt(e.ivals, s.Params().A))
 				continue

@@ -120,6 +120,10 @@ func (s *IncrementalSeq) AppendCode(code uint64) {
 	s.next++
 }
 
+// repeat advances the sequence by one window whose word is the previous
+// window's: what Append and AppendCode do for a repeated word.
+func (s *IncrementalSeq) repeat() { s.next++ }
+
 // emit appends a token for word id at the next window and makes it the run
 // head.
 func (s *IncrementalSeq) emit(id int32) {

@@ -133,20 +133,22 @@ func (m *MultiResolver) EncodeWord(coeffs []float64, a int, dst []byte) error {
 }
 
 // Intervals resolves every coefficient to its summary-line interval index,
-// writing into dst (len(coeffs) entries). Intervals depend only on the
-// coefficients, not the alphabet, so ensemble members sharing one PAA size
-// resolve once and encode each alphabet with WordAt or CodeAt — the §6.2.2
-// symbol matrix split into its two halves.
+// writing into dst (len(coeffs) entries), and reports whether any entry
+// changed. Intervals depend only on the coefficients, not the alphabet, so
+// ensemble members sharing one PAA size resolve once and encode each
+// alphabet with WordAt or CodeAt — the §6.2.2 symbol matrix split into its
+// two halves.
 //
 // dst's current entries are hints: where dst[i] is still coeffs[i]'s
 // interval (merged[k-1] <= c+BoundaryTol < merged[k]) it is kept after two
 // comparisons, and anything else, an out-of-range index included, falls
 // back to Interval's binary search. The result is Interval(coeffs[i]) for
 // any hint, so a caller encoding consecutive sliding windows passes the
-// previous window's intervals back in.
-func (m *MultiResolver) Intervals(coeffs []float64, dst []int) error {
+// previous window's intervals back in. moved is false exactly when dst
+// is unchanged, that is, when every alphabet's word is the hints' word.
+func (m *MultiResolver) Intervals(coeffs []float64, dst []int) (moved bool, err error) {
 	if len(dst) != len(coeffs) {
-		return fmt.Errorf("sax: dst length %d, want %d", len(dst), len(coeffs))
+		return false, fmt.Errorf("sax: dst length %d, want %d", len(dst), len(coeffs))
 	}
 	merged := m.merged
 	for i, c := range coeffs {
@@ -155,9 +157,12 @@ func (m *MultiResolver) Intervals(coeffs []float64, dst []int) error {
 			(k == 0 || merged[k-1] <= t) && (k == len(merged) || t < merged[k]) {
 			continue
 		}
-		dst[i] = m.Interval(c)
+		if k := m.Interval(c); k != dst[i] {
+			dst[i] = k
+			moved = true
+		}
 	}
-	return nil
+	return moved, nil
 }
 
 // WordAt maps precomputed summary-line intervals (from Intervals) to the

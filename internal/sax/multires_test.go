@@ -3,6 +3,7 @@ package sax
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -200,7 +201,8 @@ func probeCoefficients(mr *MultiResolver, rng *rand.Rand) []float64 {
 
 // TestHintedIntervalsMatchInterval: whatever dst holds on entry — every
 // interval index, the ones just outside the valid range, or a stale index
-// from another coefficient — Intervals writes exactly Interval(c).
+// from another coefficient — Intervals writes exactly Interval(c), and
+// reports a move exactly when it changed an entry.
 func TestHintedIntervalsMatchInterval(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, amax := range []int{2, 3, 10, 26} {
@@ -214,10 +216,11 @@ func TestHintedIntervalsMatchInterval(t *testing.T) {
 			want := mr.Interval(c)
 			for hint := -1; hint <= len(mr.merged)+1; hint++ {
 				dst[0] = hint
-				if err := mr.Intervals([]float64{c}, dst); err != nil {
+				moved, err := mr.Intervals([]float64{c}, dst)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if dst[0] != want {
+				if dst[0] != want || moved != (hint != want) {
 					t.Fatalf("amax=%d c=%v hint %d: interval %d, want %d", amax, c, hint, dst[0], want)
 				}
 			}
@@ -227,11 +230,18 @@ func TestHintedIntervalsMatchInterval(t *testing.T) {
 		word := make([]float64, 8)
 		hints := make([]int, len(word))
 		for trial := 0; trial < 500; trial++ {
-			for i := range word {
-				word[i] = cs[rng.Intn(len(cs))]
+			if trial%3 != 0 { // every third window repeats the previous one
+				for i := range word {
+					word[i] = cs[rng.Intn(len(cs))]
+				}
 			}
-			if err := mr.Intervals(word, hints); err != nil {
+			before := append([]int(nil), hints...)
+			moved, err := mr.Intervals(word, hints)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if same := slices.Equal(before, hints); moved == same {
+				t.Fatalf("amax=%d trial %d: moved=%v with intervals %v -> %v", amax, trial, moved, before, hints)
 			}
 			for i, c := range word {
 				if hints[i] != mr.Interval(c) {

@@ -1,6 +1,7 @@
 // Package stat provides the small numerical and order-statistics helpers
 // shared by the rest of the library: moments, medians, quantiles, argsort,
-// and the equiprobable Gaussian breakpoints used by SAX discretization.
+// the curve normalizations and column combiners of Algorithm 1, and the
+// equiprobable Gaussian breakpoints used by SAX discretization.
 //
 // All functions are pure and allocate only when they must return a new
 // slice; callers on hot paths can use the *Into variants to reuse buffers.
@@ -133,13 +134,11 @@ func medianInPlace(xs []float64) float64 {
 }
 
 // insertionMax is the longest slice sortFloats orders by insertion sort:
-// the combiner's columns (τ·N curves, 20 at the paper's defaults) are short
-// enough that sort.Float64s' setup outweighs its asymptotics.
+// below it sort.Float64s' setup outweighs its asymptotics.
 const insertionMax = 32
 
 // sortFloats sorts xs ascending in sort.Float64s' order, NaNs first. Up to
-// insertionMax values it insertion-sorts in place; the combiner calls it
-// once per output point, on the serial phase after the member stage.
+// insertionMax values it insertion-sorts in place, which is stable.
 func sortFloats(xs []float64) {
 	if len(xs) > insertionMax {
 		sort.Float64s(xs)
@@ -195,17 +194,6 @@ func ArgSortDesc(xs []float64) []int {
 	return idx
 }
 
-// ArgSortAsc returns the indices of xs ordered so that
-// xs[idx[0]] <= xs[idx[1]] <= ... The sort is stable.
-func ArgSortAsc(xs []float64) []int {
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	return idx
-}
-
 // ZNormalize returns a z-normalized copy of xs: mean 0 and population
 // standard deviation 1. When the standard deviation is below eps the
 // subsequence is (numerically) constant and the function returns all zeros,
@@ -252,97 +240,121 @@ func GaussianBreakpoints(a int) ([]float64, error) {
 	return bps, nil
 }
 
-// NormalizeByMax divides every element of xs by max(xs) so that the result
-// lies in [0, 1] while zeros stay exactly zero — the normalization Algorithm
-// 1 uses instead of min-max scaling, to preserve the significance of
-// zero-density locations. If the maximum is not positive the input is
-// returned unchanged (as a copy): such a curve carries no signal.
-func NormalizeByMax(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	NormalizeByMaxInPlace(out)
-	return out
+// Scale is one curve's normalization before the curves are merged, kept
+// as the map it applies instead of applied to a copy: x ↦ (x - Sub) / Div,
+// or 0 for every x when Zero is set. The column kernels apply it to each
+// value as they gather it.
+type Scale struct {
+	Sub, Div float64
+	Zero     bool
 }
 
-// NormalizeByMaxInPlace is NormalizeByMax operating on xs directly.
-func NormalizeByMaxInPlace(xs []float64) {
+// Apply returns x normalized by s.
+func (s Scale) Apply(x float64) float64 {
+	if s.Zero {
+		return 0
+	}
+	return (x - s.Sub) / s.Div
+}
+
+// MaxScale returns the normalization that divides every element of xs by
+// max(xs), so that the result lies in [0, 1] while zeros stay exactly zero
+// — the normalization Algorithm 1 uses instead of min-max scaling, to
+// preserve the significance of zero-density locations. If the maximum is
+// not positive the curve is left unchanged (x - 0 and x / 1 are exact):
+// such a curve carries no signal.
+func MaxScale(xs []float64) Scale {
 	m := Max(xs)
 	if m <= 0 || math.IsInf(m, -1) {
-		return
+		return Scale{Div: 1}
 	}
-	for i := range xs {
-		xs[i] /= m
-	}
+	return Scale{Div: m}
 }
 
-// MinMaxNormalize rescales xs to [0, 1] using (x-min)/(max-min). It exists
-// for the ablation comparison against NormalizeByMax; the paper argues this
-// variant destroys the significance of zero-density points. A constant
-// input maps to all zeros.
-func MinMaxNormalize(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	MinMaxNormalizeInPlace(out)
-	return out
-}
-
-// MinMaxNormalizeInPlace is MinMaxNormalize operating on xs directly.
-func MinMaxNormalizeInPlace(xs []float64) {
+// MinMaxScale returns the normalization that rescales xs to [0, 1] using
+// (x-min)/(max-min). It exists for the ablation comparison against
+// MaxScale; the paper argues this variant destroys the significance of
+// zero-density points. A constant input maps to all zeros.
+func MinMaxScale(xs []float64) Scale {
 	min, max, err := MinMax(xs)
 	if err != nil || max == min {
-		for i := range xs {
-			xs[i] = 0
-		}
-		return
+		return Scale{Zero: true}
 	}
-	for i := range xs {
-		xs[i] = (xs[i] - min) / (max - min)
+	return Scale{Sub: min, Div: max - min}
+}
+
+// ColumnScratch is one column range's scratch for ColumnMedians: the
+// current column's values by row and the rows in sorted order. The zero
+// value is ready; ColumnMedians sizes it to the row count.
+type ColumnScratch struct {
+	vals  []float64
+	order []int
+}
+
+// MemoryBytes is the scratch's retained memory, at capacity.
+func (s *ColumnScratch) MemoryBytes() int64 {
+	return int64(cap(s.vals)+cap(s.order)) * 8
+}
+
+// ColumnMedians writes to dst[c], for every column c in [lo, hi) of the
+// equal-length rows (at least one), the median of that column, each row's
+// value normalized by scales[r] as it is gathered. It is the combiner at
+// the heart of Algorithm 1 (line 14). Columns are independent, so callers
+// may run disjoint column ranges concurrently, each with its own scratch.
+//
+// The rows are density curves, which change little from one point to the
+// next, so the rows stay in the previous column's sorted order and each
+// column only insertion-sorts that nearly sorted order. Rows sort by value
+// in sort.Float64s' order, equal values by row, so the middle values are
+// the ones a stable sort of the column in row order (MedianInPlace, up to
+// 32 rows) picks, signed zeros included.
+func ColumnMedians(dst []float64, rows [][]float64, scales []Scale, lo, hi int, s *ColumnScratch) {
+	n := len(rows)
+	if cap(s.order) < n {
+		// Room past the end keeps another range's scratch, which may sit
+		// next to this one on the heap, off the cache lines this one writes.
+		s.vals = make([]float64, n, n+8)
+		s.order = make([]int, n, n+8)
+	}
+	vals, order := s.vals[:n], s.order[:n]
+	for i := range order {
+		order[i] = i
+	}
+	for c := lo; c < hi; c++ {
+		for r, row := range rows {
+			vals[r] = scales[r].Apply(row[c])
+		}
+		for i := 1; i < n; i++ {
+			o := order[i]
+			x := vals[o]
+			j := i
+			for ; j > 0; j-- {
+				p := order[j-1]
+				if y := vals[p]; !floatLess(x, y) && (floatLess(y, x) || p < o) {
+					break
+				}
+				order[j] = order[j-1]
+			}
+			order[j] = o
+		}
+		if n%2 == 1 {
+			dst[c] = vals[order[n/2]]
+		} else {
+			dst[c] = (vals[order[n/2-1]] + vals[order[n/2]]) / 2
+		}
 	}
 }
 
-// ColumnMedians returns, for a set of equal-length rows, the per-column
-// median. It is the combiner at the heart of Algorithm 1 (line 14). It
-// returns an error when rows is empty or the rows have unequal lengths.
-func ColumnMedians(rows [][]float64) ([]float64, error) {
-	if len(rows) == 0 {
-		return nil, ErrEmpty
-	}
-	width := len(rows[0])
-	for _, r := range rows[1:] {
-		if len(r) != width {
-			return nil, errors.New("stat: rows have unequal lengths")
-		}
-	}
-	out := make([]float64, width)
-	buf := make([]float64, len(rows))
-	for c := 0; c < width; c++ {
-		for r := range rows {
-			buf[r] = rows[r][c]
-		}
-		out[c] = medianInPlace(buf)
-	}
-	return out, nil
-}
-
-// ColumnMeans returns the per-column mean of a set of equal-length rows.
-// It is the alternative combiner used by the ablation benchmarks.
-func ColumnMeans(rows [][]float64) ([]float64, error) {
-	if len(rows) == 0 {
-		return nil, ErrEmpty
-	}
-	width := len(rows[0])
-	for _, r := range rows[1:] {
-		if len(r) != width {
-			return nil, errors.New("stat: rows have unequal lengths")
-		}
-	}
-	out := make([]float64, width)
-	for _, r := range rows {
-		for c, v := range r {
-			out[c] += v
-		}
-	}
+// ColumnMeans is ColumnMedians with the per-column mean, the alternative
+// combiner used by the ablation benchmarks: each column sums its
+// normalized values in row order and multiplies by 1/len(rows).
+func ColumnMeans(dst []float64, rows [][]float64, scales []Scale, lo, hi int) {
 	inv := 1 / float64(len(rows))
-	for c := range out {
-		out[c] *= inv
+	for c := lo; c < hi; c++ {
+		sum := 0.0
+		for r, row := range rows {
+			sum += scales[r].Apply(row[c])
+		}
+		dst[c] = sum * inv
 	}
-	return out, nil
 }
