@@ -141,7 +141,8 @@ func DetectWithFeatures(f *timeseries.Features, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eng.DetectSpan(f, 0, f.SeriesLen(), cfg.Seed)
+	n := f.SeriesLen()
+	return eng.DetectSpan(f, 0, n, n, cfg.Seed)
 }
 
 // ComputeMembers runs lines 4–8 of Algorithm 1: draw cfg.Size distinct
@@ -160,7 +161,8 @@ func ComputeMembers(f *timeseries.Features, cfg Config) ([]MemberCurve, error) {
 	if err != nil {
 		return nil, err
 	}
-	return eng.MemberCurves(f, 0, f.SeriesLen(), cfg.Seed)
+	n := f.SeriesLen()
+	return eng.MemberCurves(f, 0, n, n, cfg.Seed)
 }
 
 // CombineMembers performs lines 9–14 of Algorithm 1 on precomputed member

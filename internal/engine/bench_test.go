@@ -41,7 +41,7 @@ func preparedEngine(b *testing.B, src *timeseries.Features) *Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.bind(src, stageLen)
+	e.bind(src, 0, stageLen)
 	e.prepare(src, 0, stageSeed)
 	return e
 }
@@ -72,7 +72,10 @@ func BenchmarkEngineEncode(b *testing.B) {
 }
 
 // BenchmarkEngineInduce times grammar induction of every member over the
-// whole series: a presized Builder fed the member's covering word ids.
+// whole series, each member fed its covering word ids. fresh gives each
+// member a new presized Builder; warm feeds every member through one
+// Builder, Reset between members, which is how the engine's free list
+// reuses released members' builders.
 func BenchmarkEngineInduce(b *testing.B) {
 	src := stageSource(b)
 	e := preparedEngine(b, src)
@@ -87,16 +90,29 @@ func BenchmarkEngineInduce(b *testing.B) {
 			feeds[i] = append(feeds[i], tk.ID)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, ids := range feeds {
-			bld := sequitur.NewBuilderSize(len(ids))
-			for _, id := range ids {
-				bld.PushID(id)
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, ids := range feeds {
+				bld := sequitur.NewBuilderSize(len(ids))
+				for _, id := range ids {
+					bld.PushID(id)
+				}
 			}
 		}
-	}
+	})
+	b.Run("warm", func(b *testing.B) {
+		bld := sequitur.NewBuilderSize(len(feeds[0]))
+		b.ReportAllocs()
+		for b.Loop() {
+			for _, ids := range feeds {
+				bld.Reset()
+				for _, id := range ids {
+					bld.PushID(id)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkEngineCombine times lines 9–14 of Algorithm 1 over the 50
@@ -110,7 +126,7 @@ func BenchmarkEngineCombine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := e.DetectSpan(src, 0, stageLen, stageSeed); err != nil {
+	if _, err := e.DetectSpan(src, 0, stageLen, 0, stageSeed); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -9,7 +9,7 @@
 // (per-PAA-size encode buffers, per-member curve buffers) — and
 // runs Algorithm 1 of the paper over *spans* of one logical series:
 //
-//	res, err := eng.DetectSpan(src, start, end, seed)
+//	res, err := eng.DetectSpan(src, start, end, next, seed)
 //
 // src is any global-coordinate prefix-sum store (timeseries.Features for a
 // series in memory, timeseries.RingFeatures for a bounded stream window).
@@ -22,7 +22,13 @@
 // bit-identical to discretizing the new span from scratch (the property
 // tests pin this).
 //
-// Grammar induction is amortized the same way: each member holds a
+// next is the caller's promise about the future: no later span starts
+// before it (a stream passes its next hop position, a one-off batch run its
+// end, and 0 promises nothing). The engine uses it to drop what no later
+// span can read — pipeline tokens before next, and the grammar of every
+// member that any span starting at or after next would rebase.
+//
+// Grammar induction is amortized like discretization: each member holds a
 // resumable sequitur.Builder fed the incremental token suffix its pipeline
 // produces, so a hop appends O(hop) tokens instead of re-inducing the
 // O(span) sequence, and the rule density curve is computed from the live
@@ -38,7 +44,12 @@
 // every span since the epoch base — more context than a per-span
 // induction; the amortized property tests pin that the resumable state is
 // always exactly the grammar a from-scratch induction over the epoch's
-// tokens would build. Curve combination then runs per span exactly as in
+// tokens would build. A member keeps its builder only while a span starting
+// at or after next could extend its epoch. Otherwise (at the default hop,
+// after every run) its task hands the builder and its fed positions to a
+// free list of at most Config.Parallelism entries, and the next rebasing
+// member takes its storage from there instead of allocating its own.
+// Curve combination then runs per span exactly as in
 // the batch detector: the survivors are read, never rewritten, by one pass
 // over the span's columns that normalizes each gathered value and takes
 // the column's median, and grammar.RankAnomalies picks the top K in K
@@ -160,8 +171,8 @@ type Config struct {
 	// property tests assert the two modes are bit-identical — at O(span)
 	// induction cost per run; leave it off outside tests and ablations.
 	// It needs the full epoch token history, so it cannot be combined
-	// with FromScratch and owners must not TrimBefore positions the
-	// current epoch base still needs.
+	// with FromScratch, and the engine does not trim its pipelines to a
+	// span call's next.
 	RebuildEachRun bool
 	// FromScratch disables incremental re-discretization: every span
 	// re-encodes all of its windows. Results are identical either way
@@ -269,14 +280,24 @@ type group struct {
 // with the builder's token indices — what maps rule occurrences back to
 // stream positions), and the epoch bookkeeping driving the rebase
 // schedule. The builder holds word ids of the member's pipeline
-// dictionary; it is created at the member's first rebase, sized from that
-// epoch's token count, and is nil until then.
+// dictionary. It is nil, with no fed positions, while no later span can
+// extend the epoch: until the member's first rebase, and from the run after
+// which every span the caller can still ask for would rebase it (see
+// Engine.rebasesFrom). A rebase then takes a builder from the engine's free
+// list, or allocates one sized from the epoch's token count.
 type memberState struct {
 	b     *sequitur.Builder
 	pos   []int // global window start per fed token
 	base  int   // global window position the epoch is anchored at
 	fedTo int   // last global window index fed into the builder
 	runs  int   // spans participated in since the last rebase
+}
+
+// spare is a released member's induction storage, kept warm on the
+// engine's free list for the next rebasing member.
+type spare struct {
+	b   *sequitur.Builder
+	pos []int
 }
 
 // Engine runs the ensemble pipeline over spans of one logical series. It
@@ -295,11 +316,13 @@ type Engine struct {
 	seqSel []*sax.IncrementalSeq // members' pipelines for the current span
 
 	// Incremental per-member pipelines, keyed by (w,a), surviving across
-	// spans. Bound source and high-water mark guard against misuse: a new
-	// source or a regressing span end resets every pipeline.
+	// spans. Bound source, high-water mark and the last span's next guard
+	// against misuse: a new source, a regressing span end or a span
+	// starting before the promised next resets every pipeline.
 	pipes   map[sax.Params]*sax.IncrementalSeq
 	src     Source
 	lastEnd int
+	next    int
 
 	// Amortized per-member induction states, keyed and lifecycled like
 	// pipes; inductSel is the members' states for the current span, in
@@ -307,6 +330,11 @@ type Engine struct {
 	// goroutines never touch the map).
 	induct    map[sax.Params]*memberState
 	inductSel []*memberState
+
+	// Free list of released members' builders and fed-position records,
+	// at most Config.Parallelism long. Member tasks share it.
+	spareMu sync.Mutex
+	spares  []spare
 
 	// Pooled hot-path scratch.
 	groups  []group       // encode tasks, indexed by PAA size
@@ -381,12 +409,14 @@ func (e *Engine) drawParams(seed int64) []sax.Params {
 }
 
 // bind attaches the engine to a source, resetting every pipeline when the
-// source changes or the span end regresses (the incremental invariants
-// hold only along one monotonically advancing series). It opens every
-// DetectSpan and MemberCurves call, so it also clears the footprint memo
-// for the retained state those calls are about to change.
-func (e *Engine) bind(src Source, end int) {
-	if src != e.src || end < e.lastEnd {
+// source changes, the span end regresses or the span starts before the
+// last call's next (the incremental invariants hold only along one
+// monotonically advancing series, and released grammars and trimmed tokens
+// only as far as that promise). It opens every DetectSpan and MemberCurves
+// call, so it also clears the footprint memo for the retained state those
+// calls are about to change.
+func (e *Engine) bind(src Source, start, end int) {
+	if src != e.src || end < e.lastEnd || start < e.next {
 		// Drop every pipeline and induction state; each is rebuilt from
 		// scratch at the next span that draws its parameters.
 		for p := range e.pipes {
@@ -395,7 +425,7 @@ func (e *Engine) bind(src Source, end int) {
 		for p := range e.induct {
 			delete(e.induct, p)
 		}
-		e.src = src
+		e.src, e.next = src, 0
 	}
 	e.lastEnd = end
 	e.fpOK = false
@@ -457,7 +487,7 @@ func (e *Engine) prepare(src Source, start int, seed int64) []sax.Params {
 // Algorithm 1) as the task pipeline the package comment describes, each
 // task holding one of the Config.Parallelism tokens of e.sem while it runs.
 // On return e.curves[i] is member i's output.
-func (e *Engine) runMembers(src Source, params []sax.Params, start, end int) error {
+func (e *Engine) runMembers(src Source, params []sax.Params, start, end, next int) error {
 	if cap(e.curves) < len(params) {
 		e.curves = make([]MemberCurve, len(params))
 	}
@@ -476,7 +506,7 @@ func (e *Engine) runMembers(src Source, params []sax.Params, start, end int) err
 		}
 		e.running.Add(1)
 		e.sem <- struct{}{}
-		go e.runGroup(g, src, params, start, end)
+		go e.runGroup(g, src, params, start, end, next)
 	}
 	e.running.Wait()
 	for _, err := range e.errs {
@@ -489,7 +519,7 @@ func (e *Engine) runMembers(src Source, params []sax.Params, start, end int) err
 
 // runGroup is one PAA size's encode task: it encodes the group, frees its
 // token, then starts its members' tasks.
-func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end int) {
+func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end, next int) {
 	defer e.running.Done()
 	err := g.enc.Encode(src, g.pipes, end-e.cfg.Window)
 	<-e.sem
@@ -500,13 +530,15 @@ func (e *Engine) runGroup(g *group, src Source, params []sax.Params, start, end 
 		}
 		e.running.Add(1)
 		e.sem <- struct{}{}
-		go e.runMember(i, params[i], start, end)
+		go e.runMember(i, params[i], start, end, next)
 	}
 }
 
 // runMember is one member's task: advance its resumable induction to the
-// span and build its rule density curve into the member's pooled buffer.
-func (e *Engine) runMember(i int, p sax.Params, start, end int) {
+// span, build its rule density curve into the member's pooled buffer, and
+// release the member's grammar if no span starting at or after next can
+// extend it.
+func (e *Engine) runMember(i int, p sax.Params, start, end, next int) {
 	defer e.running.Done()
 	defer func() { <-e.sem }()
 	n := e.cfg.Window
@@ -521,6 +553,40 @@ func (e *Engine) runMember(i int, p sax.Params, start, end int) {
 		return
 	}
 	e.curves[i] = MemberCurve{Params: p, Curve: curve, Std: stat.PopStd(curve)}
+	if e.rebasesFrom(st, next) {
+		e.release(st)
+	}
+}
+
+// release hands a member's builder and fed positions to the free list, or
+// to the garbage collector once the list holds Config.Parallelism entries
+// (no more builders than that are ever being rebuilt at once), leaving the
+// member to rebase at its next run.
+func (e *Engine) release(st *memberState) {
+	e.spareMu.Lock()
+	if len(e.spares) < e.cfg.Parallelism {
+		e.spares = append(e.spares, spare{st.b, st.pos[:0]})
+	}
+	e.spareMu.Unlock()
+	st.b, st.pos = nil, nil
+}
+
+// takeSpare returns a reset builder and an empty fed-position record from
+// the free list, or a new builder presized for sizeHint tokens when the
+// list is empty.
+func (e *Engine) takeSpare(sizeHint int) (*sequitur.Builder, []int) {
+	e.spareMu.Lock()
+	n := len(e.spares)
+	if n == 0 {
+		e.spareMu.Unlock()
+		return sequitur.NewBuilderSize(sizeHint), nil
+	}
+	sp := e.spares[n-1]
+	e.spares[n-1] = spare{}
+	e.spares = e.spares[:n-1]
+	e.spareMu.Unlock()
+	sp.b.Reset()
+	return sp.b, sp.pos
 }
 
 // rebuildInduction re-induces one member's grammar from scratch over the
@@ -546,7 +612,7 @@ func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anch
 		e.onRebase(seq.VocabLen(), seq.Len())
 	}
 	if st.b == nil {
-		st.b = sequitur.NewBuilderSize(len(toks))
+		st.b, st.pos = e.takeSpare(len(toks))
 	} else {
 		st.b.Reset()
 	}
@@ -583,21 +649,13 @@ func (e *Engine) SetRebaseHook(fn func(vocab, retained int)) { e.onRebase = fn }
 func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, start, lastWin int) error {
 	spanW := lastWin - start + 1
 	fresh := st.b == nil || st.b.Len() == 0
-	// A gap in the fed windows (the span grid jumped past the default
-	// stride, or the member's pipeline lost the history it would need)
-	// forces a rebase: the epoch's token sequence must stay contiguous.
-	rebase := fresh || st.base > start || start > st.fedTo+1 || st.fedTo < seq.TrimmedTo()-1
-	if !rebase {
-		if k := e.cfg.RebaseEvery; k > 0 {
-			rebase = st.runs >= k
-		} else {
-			// Adaptive: per-span semantics when spans don't overlap; with
-			// overlap, rebuild once the epoch extent doubles the span's,
-			// which caps retained history at ~2 spans and amortizes the
-			// O(span) rebuild over at least a span's worth of appends.
-			rebase = start > st.fedTo || lastWin+1-st.base > 2*spanW
-		}
-	}
+	// A span starting before the epoch or after history the member's
+	// pipeline has dropped rebases too. So does, under the adaptive
+	// schedule, an epoch whose extent would pass twice the span's: that
+	// caps retained history at ~2 spans and amortizes the O(span) rebuild
+	// over at least a span's worth of appends.
+	rebase := fresh || st.base > start || st.fedTo < seq.TrimmedTo()-1 || e.rebasesFrom(st, start) ||
+		e.cfg.RebaseEvery == 0 && lastWin+1-st.base > 2*spanW
 	if rebase {
 		if err := e.rebuildInduction(st, seq, start, lastWin); err != nil {
 			return err
@@ -638,36 +696,70 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, star
 	return nil
 }
 
+// rebasesFrom reports whether every span starting at or after start rebases
+// the member, whatever its end: the part of advanceInduction's rebase test
+// that depends on the start alone. A gap in the fed windows forces a
+// rebase, since the epoch's token sequence must stay contiguous; so do K
+// participations under RebaseEvery = K; and so, under the adaptive
+// schedule, does a span sharing no windows with the epoch (per-span
+// semantics when spans do not overlap). Each clause that holds at start
+// holds at every later start, so after a run, rebasesFrom(st, next) means
+// no span the caller can still ask for will read the member's grammar.
+func (e *Engine) rebasesFrom(st *memberState, start int) bool {
+	if start > st.fedTo+1 {
+		return true
+	}
+	if k := e.cfg.RebaseEvery; k > 0 {
+		return st.runs >= k
+	}
+	return start > st.fedTo
+}
+
 // DetectSpan runs Algorithm 1 over the span [start, end) of the source,
 // with the given parameter-generation seed, and returns the combined curve
 // (span-local, values in [0,1]), the ranked candidates, and the member
-// bookkeeping. Member curves live in pooled buffers and are read, never
-// rewritten, by the combination; the returned Result owns fresh memory and
-// survives further engine use.
-func (e *Engine) DetectSpan(src Source, start, end int, seed int64) (*Result, error) {
-	if err := e.checkSpan(src, start, end); err != nil {
-		return nil, err
-	}
-	e.bind(src, end)
-	params := e.prepare(src, start, seed)
-	if err := e.runMembers(src, params, start, end); err != nil {
+// bookkeeping. next is the earliest start any later span on this engine
+// can have (0 promises nothing; see the package comment); a later span
+// that starts before it is served from scratch. Member curves live in
+// pooled buffers and are read, never rewritten, by the combination; the
+// returned Result owns fresh memory and survives further engine use.
+func (e *Engine) DetectSpan(src Source, start, end, next int, seed int64) (*Result, error) {
+	if err := e.memberStage(src, start, end, next, seed); err != nil {
 		return nil, err
 	}
 	return e.comb.combine(e.curves, e.cfg)
+}
+
+// memberStage runs lines 4–8 of Algorithm 1 over the span into e.curves,
+// then lets the pipelines drop every token no span starting at or after
+// next can need. Under RebuildEachRun the epochs re-read their full token
+// history, so nothing is trimmed.
+func (e *Engine) memberStage(src Source, start, end, next int, seed int64) error {
+	if err := e.checkSpan(src, start, end); err != nil {
+		return err
+	}
+	e.bind(src, start, end)
+	params := e.prepare(src, start, seed)
+	if err := e.runMembers(src, params, start, end, next); err != nil {
+		return err
+	}
+	e.next = next
+	if !e.cfg.RebuildEachRun {
+		for _, seq := range e.pipes {
+			seq.TrimBefore(next)
+		}
+	}
+	return nil
 }
 
 // MemberCurves runs only the member stage of the span (lines 4–8 of
 // Algorithm 1) and returns one MemberCurve per drawn (w,a) combination, in
 // generation order. The curves are fresh copies, safe to retain across
 // further engine use — this is the entry point for parameter sweeps that
-// recombine one member set under many (τ, combiner) settings.
-func (e *Engine) MemberCurves(src Source, start, end int, seed int64) ([]MemberCurve, error) {
-	if err := e.checkSpan(src, start, end); err != nil {
-		return nil, err
-	}
-	e.bind(src, end)
-	params := e.prepare(src, start, seed)
-	if err := e.runMembers(src, params, start, end); err != nil {
+// recombine one member set under many (τ, combiner) settings. next is as
+// for DetectSpan.
+func (e *Engine) MemberCurves(src Source, start, end, next int, seed int64) ([]MemberCurve, error) {
+	if err := e.memberStage(src, start, end, next, seed); err != nil {
 		return nil, err
 	}
 	out := make([]MemberCurve, len(e.curves))
@@ -682,11 +774,13 @@ func (e *Engine) MemberCurves(src Source, start, end int, seed int64) ([]MemberC
 }
 
 // MemoryFootprint is the engine's retained-memory accounting in bytes: the
-// per-member incremental pipelines (tokens + word bytes), the per-member
-// resumable induction states (grammar arena + tables + fed-position
-// records, each bounded by the rebase schedule's epoch extent) plus the
-// pooled hot-path scratch (per-member curve buffers, parameter grid and
-// draw buffer, encode-group buffers, combination scratch). It deliberately
+// per-member incremental pipelines (tokens + word bytes), the resumable
+// induction states of the members a later span can still extend (grammar
+// arena + tables + fed-position records, each bounded by the rebase
+// schedule's epoch extent), the free list of released builders and their
+// position records (at most Config.Parallelism), plus the pooled hot-path
+// scratch (per-member curve buffers, parameter grid and draw buffer,
+// encode-group buffers, combination scratch). It deliberately
 // counts the deterministic, capacity-based footprint of the buffers the
 // engine owns — the quantities its bounded-memory guarantees are about —
 // rather than chasing Go runtime allocator truth. The dominant terms are
@@ -714,12 +808,17 @@ func (e *Engine) computeFootprint() int64 {
 		}
 		total += int64(cap(st.pos)) * 8
 	}
+	for _, sp := range e.spares {
+		total += sp.b.MemoryBytes() + int64(cap(sp.pos))*8
+	}
 	const stringHeader, memberCurveSize = 16, 48
+	const spareSize = 32 // builder pointer + position slice header
 	for _, m := range e.curves[:cap(e.curves)] {
 		total += int64(cap(m.Curve)) * 8
 	}
 	total += int64(cap(e.grid)+cap(e.draw)) * stringHeader // sax.Params: two ints
 	total += int64(cap(e.seqSel)+cap(e.inductSel)) * 8
+	total += int64(cap(e.spares)) * spareSize
 	for _, g := range e.groups {
 		total += int64(cap(g.members)+cap(g.pipes)) * 8
 		if g.enc != nil {
@@ -745,7 +844,9 @@ type PipeState struct {
 // state. The grammar itself is not walked: a Sequitur grammar is a lossless
 // encoding of its pushed token sequence, so Words (the expanded sequence,
 // ids rendered through the member pipeline's dictionary) plus a
-// deterministic re-induction reproduce it exactly.
+// deterministic re-induction reproduce it exactly. A member whose grammar
+// was released (no later span could extend it) or never built has no Pos
+// and no Words, and its next run rebases it.
 type InductState struct {
 	// Params is the member's (w, a) combination.
 	Params sax.Params
@@ -866,16 +967,6 @@ func checkWords(p sax.Params, toks []sax.Token, prev string) error {
 		}
 	}
 	return nil
-}
-
-// TrimBefore tells every pipeline that no future span will start before
-// stream position pos, letting them drop tokens (and their words) that
-// precede it. Owners with a hop schedule call it after each span.
-func (e *Engine) TrimBefore(pos int) {
-	for _, seq := range e.pipes {
-		seq.TrimBefore(pos)
-	}
-	e.fpOK = false
 }
 
 // Combine performs lines 9–14 of Algorithm 1 on caller-owned precomputed

@@ -23,6 +23,8 @@ func genSeries(length, period int, seed int64) timeseries.Series {
 	return s
 }
 
+// resultsEqual fails the test unless a and b agree bit for bit: curve,
+// candidates and members, every float compared by its Float64bits.
 func resultsEqual(t *testing.T, ctx string, a, b *Result) {
 	t.Helper()
 	if (a == nil) != (b == nil) {
@@ -35,7 +37,7 @@ func resultsEqual(t *testing.T, ctx string, a, b *Result) {
 		t.Fatalf("%s: curve lengths %d vs %d", ctx, len(a.Curve), len(b.Curve))
 	}
 	for i := range a.Curve {
-		if a.Curve[i] != b.Curve[i] {
+		if math.Float64bits(a.Curve[i]) != math.Float64bits(b.Curve[i]) {
 			t.Fatalf("%s: curve[%d] %v vs %v", ctx, i, a.Curve[i], b.Curve[i])
 		}
 	}
@@ -43,7 +45,8 @@ func resultsEqual(t *testing.T, ctx string, a, b *Result) {
 		t.Fatalf("%s: candidate counts %d vs %d", ctx, len(a.Candidates), len(b.Candidates))
 	}
 	for i := range a.Candidates {
-		if a.Candidates[i] != b.Candidates[i] {
+		ca, cb := a.Candidates[i], b.Candidates[i]
+		if ca != cb || math.Float64bits(ca.Density) != math.Float64bits(cb.Density) {
 			t.Fatalf("%s: candidate %d %+v vs %+v", ctx, i, a.Candidates[i], b.Candidates[i])
 		}
 	}
@@ -51,7 +54,8 @@ func resultsEqual(t *testing.T, ctx string, a, b *Result) {
 		t.Fatalf("%s: member counts %d vs %d", ctx, len(a.Members), len(b.Members))
 	}
 	for i := range a.Members {
-		if a.Members[i] != b.Members[i] {
+		ma, mb := a.Members[i], b.Members[i]
+		if ma != mb || math.Float64bits(ma.Std) != math.Float64bits(mb.Std) {
 			t.Fatalf("%s: member %d %+v vs %+v", ctx, i, a.Members[i], b.Members[i])
 		}
 	}
@@ -100,8 +104,8 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				break
 			}
 			spanSeed := seed + int64(runIdx)*SeedStride
-			a, errA := inc.DetectSpan(f, start, end, spanSeed)
-			b, errB := ref.DetectSpan(f, start, end, spanSeed)
+			a, errA := inc.DetectSpan(f, start, end, start+hop, spanSeed)
+			b, errB := ref.DetectSpan(f, start, end, 0, spanSeed)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("trial %d span [%d,%d): errors differ: %v vs %v", trial, start, end, errA, errB)
 			}
@@ -112,7 +116,6 @@ func TestIncrementalMatchesFromScratch(t *testing.T) {
 				continue
 			}
 			resultsEqual(t, "span", a, b)
-			inc.TrimBefore(start + hop)
 			runIdx++
 		}
 	}
@@ -157,16 +160,14 @@ func TestRingSourceMatchesFeatures(t *testing.T) {
 		if i+1 == next {
 			start, end := i+1-bufLen, i+1
 			spanSeed := int64(runIdx) * SeedStride
-			a, errA := viaRing.DetectSpan(ring, start, end, spanSeed)
-			b, errB := viaFeat.DetectSpan(f, start, end, spanSeed)
+			a, errA := viaRing.DetectSpan(ring, start, end, start+hop, spanSeed)
+			b, errB := viaFeat.DetectSpan(f, start, end, start+hop, spanSeed)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("span [%d,%d): errors differ: %v vs %v", start, end, errA, errB)
 			}
 			if errA == nil {
 				resultsEqual(t, "ring-vs-features", a, b)
 			}
-			viaRing.TrimBefore(start + hop)
-			viaFeat.TrimBefore(start + hop)
 			next += hop
 			runIdx++
 		}
@@ -191,11 +192,11 @@ func TestMemberCurvesMatchDetectSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := e1.DetectSpan(f, 0, len(series), cfg.Seed)
+	full, err := e1.DetectSpan(f, 0, len(series), len(series), cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	members, err := e2.MemberCurves(f, 0, len(series), cfg.Seed)
+	members, err := e2.MemberCurves(f, 0, len(series), len(series), cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestCombineDoesNotMutateInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	members, err := e.MemberCurves(f, 0, len(series), cfg.Seed)
+	members, err := e.MemberCurves(f, 0, len(series), len(series), cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,16 +251,16 @@ func TestSpanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.DetectSpan(f, 0, 10, 0); err == nil {
+	if _, err := e.DetectSpan(f, 0, 10, 0, 0); err == nil {
 		t.Error("sub-window span should error")
 	}
-	if _, err := e.DetectSpan(f, -5, 100, 0); err == nil {
+	if _, err := e.DetectSpan(f, -5, 100, 0, 0); err == nil {
 		t.Error("negative start should error")
 	}
-	if _, err := e.DetectSpan(f, 0, len(series)+1, 0); err == nil {
+	if _, err := e.DetectSpan(f, 0, len(series)+1, 0, 0); err == nil {
 		t.Error("overlong span should error")
 	}
-	if _, err := e.DetectSpan(nil, 0, 100, 0); err == nil {
+	if _, err := e.DetectSpan(nil, 0, 100, 0, 0); err == nil {
 		t.Error("nil source should error")
 	}
 }
@@ -279,7 +280,7 @@ func TestConstantSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.DetectSpan(f, 0, len(series), 1); err != ErrNoUsableCurves {
+	if _, err := e.DetectSpan(f, 0, len(series), len(series), 1); err != ErrNoUsableCurves {
 		t.Fatalf("got %v, want ErrNoUsableCurves", err)
 	}
 }
@@ -288,8 +289,8 @@ func TestConstantSpan(t *testing.T) {
 // which the encoder hands to their pipelines as bytes and the pipelines
 // key by string: with WMax 14 and the ensemble drawing the whole (w, a)
 // grid, every span has members of w = 13 and 14. Driven like a stream — a
-// rolling ring, one engine across overlapping hop spans, TrimBefore after
-// each — every span equals a FromScratch engine's run over the
+// rolling ring, one engine across overlapping hop spans, each told the
+// next hop position — every span equals a FromScratch engine's run over the
 // whole-series Features, and with per-span induction (RebaseEvery 1) a
 // fresh batch engine's run over the span.
 func TestLongWordsMatchBatchSpans(t *testing.T) {
@@ -336,7 +337,7 @@ func TestLongWordsMatchBatchSpans(t *testing.T) {
 		}
 		start, end := i+1-bufLen, i+1
 		spanSeed := cfg.Seed + int64(runIdx)*SeedStride
-		got, err := inc.DetectSpan(ring, start, end, spanSeed)
+		got, err := inc.DetectSpan(ring, start, end, start+hop, spanSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,24 +350,22 @@ func TestLongWordsMatchBatchSpans(t *testing.T) {
 		if long != 6 {
 			t.Fatalf("span [%d,%d): %d members with w > %d, want 6", start, end, long, sax.MaxPackedW)
 		}
-		want, err := scratch.DetectSpan(f, start, end, spanSeed)
+		want, err := scratch.DetectSpan(f, start, end, 0, spanSeed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resultsEqual(t, "incremental vs FromScratch", got, want)
-		if got, err = perSpan.DetectSpan(ring, start, end, spanSeed); err != nil {
+		if got, err = perSpan.DetectSpan(ring, start, end, start+hop, spanSeed); err != nil {
 			t.Fatal(err)
 		}
 		batch, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err = batch.DetectSpan(f, start, end, spanSeed); err != nil {
+		if want, err = batch.DetectSpan(f, start, end, end, spanSeed); err != nil {
 			t.Fatal(err)
 		}
 		resultsEqual(t, "hop run vs batch span", got, want)
-		inc.TrimBefore(start + hop)
-		perSpan.TrimBefore(start + hop)
 		next += hop
 		runIdx++
 	}

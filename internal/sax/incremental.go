@@ -172,10 +172,9 @@ func (s *IncrementalSeq) TrimBefore(win int) {
 	if win > s.trimmed {
 		s.trimmed = win
 	}
-	k := 0
-	for k+1 < len(s.tokens) && s.tokens[k+1].Pos <= win {
-		k++
-	}
+	// Token positions ascend, so the last token at or before win is found
+	// by bisection: a one-off run trims to its end, past every token.
+	k := sort.Search(len(s.tokens), func(i int) bool { return s.tokens[i].Pos > win }) - 1
 	if k > 0 {
 		s.tokens = s.tokens[:copy(s.tokens, s.tokens[k:])]
 	}

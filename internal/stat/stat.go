@@ -159,28 +159,6 @@ func floatLess(x, y float64) bool {
 	return x < y || (x != x && y == y)
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics. It returns an error for an empty
-// slice or q outside [0, 1].
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, errors.New("stat: quantile out of range")
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	pos := q * float64(len(tmp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo], nil
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac, nil
-}
-
 // ArgSortDesc returns the indices of xs ordered so that
 // xs[idx[0]] >= xs[idx[1]] >= ... The sort is stable, so ties keep their
 // original relative order (this mirrors Algorithm 1's ArgSort over curve

@@ -77,27 +77,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	for _, c := range []struct{ q, want float64 }{
-		{0, 0}, {1, 4}, {0.5, 2}, {0.25, 1}, {0.125, 0.5},
-	} {
-		got, err := Quantile(xs, c.q)
-		if err != nil || !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if _, err := Quantile(xs, -0.1); err == nil {
-		t.Error("Quantile(-0.1) should error")
-	}
-	if _, err := Quantile(xs, 1.1); err == nil {
-		t.Error("Quantile(1.1) should error")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("Quantile(empty) should error")
-	}
-}
-
 func TestArgSort(t *testing.T) {
 	xs := []float64{0.3, 0.9, 0.1, 0.9}
 	desc := ArgSortDesc(xs)

@@ -2,6 +2,10 @@ package stream
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -11,6 +15,35 @@ import (
 // fingerprint; keeping the configuration constant points the fuzzer at it.
 func fuzzConfig() Config {
 	return Config{Window: 30, BufLen: 150, Hop: 60, EnsembleSize: 4, Seed: 5}
+}
+
+// fuzzConfigs are the configurations FuzzRestoreStream restores every
+// payload under: fuzzConfig, and fuzzConfig at the default hop, where each
+// hop run releases its members' grammars and a snapshot holds members with
+// no fed words. A payload fingerprinted for neither is rejected at once.
+func fuzzConfigs() []Config {
+	defaultHop := fuzzConfig()
+	defaultHop.Hop = 0
+	return []Config{fuzzConfig(), defaultHop}
+}
+
+// releasedSnapshot is a default-hop detector's snapshot after two hop
+// runs: every member it has drawn is released, so every induction state
+// in it is empty. The checked-in corpus file
+// testdata/fuzz/FuzzRestoreStream/snapshot-released holds the payload this
+// produced when it was added.
+func releasedSnapshot(t testing.TB) []byte {
+	t.Helper()
+	d, err := New(fuzzConfigs()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range sineSeries(300, 30, 9, 200) {
+		if err := d.Push(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d.Snapshot()
 }
 
 // fuzzSnapshots produces real snapshot payloads at structurally distinct
@@ -48,7 +81,8 @@ func fuzzSnapshots(t testing.TB) [][]byte {
 // panics and never trusts a decoded length or offset enough to allocate or
 // index unboundedly. The seed corpus (testdata/fuzz/FuzzRestoreStream)
 // holds real snapshots from fuzzSnapshots plus truncated and corrupted
-// variants; the mutator works outward from those.
+// variants, and a default-hop snapshot from releasedSnapshot; the mutator
+// works outward from those.
 func FuzzRestoreStream(f *testing.F) {
 	for _, snap := range fuzzSnapshots(f) {
 		f.Add(snap)
@@ -59,25 +93,75 @@ func FuzzRestoreStream(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("EGISNAP1"))
-	cfg := fuzzConfig()
+	f.Add(releasedSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Restore(cfg, data)
-		if err != nil {
-			if d != nil {
-				t.Fatal("Restore returned a detector alongside an error")
+		for _, cfg := range fuzzConfigs() {
+			d, err := Restore(cfg, data)
+			if err != nil {
+				if d != nil {
+					t.Fatal("Restore returned a detector alongside an error")
+				}
+				continue
 			}
-			return
-		}
-		// A payload that decodes cleanly must yield a usable detector:
-		// pushing and flushing may reject the stream with an error (the
-		// engine re-checks spans), but must not panic.
-		for i := 0; i < 2*cfg.Window; i++ {
-			if err := d.Push(float64(i % 7)); err != nil {
-				return
+			// A payload that decodes cleanly must yield a usable detector:
+			// pushing and flushing may reject the stream with an error (the
+			// engine re-checks spans), but must not panic.
+			for i := 0; i < 2*cfg.Window; i++ {
+				if err := d.Push(float64(i % 7)); err != nil {
+					break
+				}
 			}
+			_ = d.Flush()
 		}
-		_ = d.Flush()
 	})
+}
+
+// TestReleasedSnapshotSeed: the checked-in snapshot-released seed is a
+// default-hop snapshot whose members all have empty fed words, it restores
+// cleanly, and the restored detector runs on: its next hop run rebases
+// every member it draws.
+func TestReleasedSnapshotSeed(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestoreStream", "snapshot-released"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(body, ")") {
+		t.Fatalf("seed is not a one-[]byte fuzz corpus file: %q", raw)
+	}
+	snap, err := strconv.Unquote(strings.TrimSuffix(body, ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fuzzConfigs()[1]
+	d, err := Restore(cfg, []byte(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.runIdx < 2 {
+		t.Fatalf("seed taken after %d hop runs, want >= 2", d.runIdx)
+	}
+	st := d.eng.State()
+	if len(st.Induct) == 0 {
+		t.Fatal("seed holds no induction states")
+	}
+	for _, is := range st.Induct {
+		if len(is.Words) != 0 || len(is.Pos) != 0 {
+			t.Fatalf("member %v holds %d fed words", is.Params, len(is.Words))
+		}
+	}
+	runs := d.runIdx
+	for _, x := range sineSeries(3*cfg.BufLen, 30, 10) {
+		if err := d.Push(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if d.runIdx < runs+2 {
+		t.Fatalf("restored detector made %d more hop runs", d.runIdx-runs)
+	}
 }
 
 // TestRestoreFuzzSeeds replays the checked-in property directly so the

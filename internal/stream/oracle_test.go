@@ -40,7 +40,7 @@ func DetectChunkedOracle(series []float64, cfg engine.Config, chunkLen int) ([]f
 		if end-start < cfg.Window {
 			break // tail already fully covered by the previous chunk
 		}
-		res, err := eng.DetectSpan(f, start, end, cfg.Seed+int64(chunkIdx)*engine.SeedStride)
+		res, err := eng.DetectSpan(f, start, end, start+stride, cfg.Seed+int64(chunkIdx)*engine.SeedStride)
 		switch {
 		case err == engine.ErrNoUsableCurves:
 			for i := start; i < end; i++ {
@@ -53,7 +53,6 @@ func DetectChunkedOracle(series []float64, cfg engine.Config, chunkLen int) ([]f
 				sum[start+i] += v
 				count[start+i]++
 			}
-			eng.TrimBefore(start + stride)
 		}
 		if end == len(series) {
 			break

@@ -562,10 +562,17 @@ func (d *Detector) Flush() error {
 
 // run re-induces the ensemble over stream span [start, d.total) on the
 // shared engine, stitches the resulting curve, finalizes newly-immutable
-// window scores, and (for periodic runs) trims the stitched region and the
-// engine's token pipelines back to their bounded sizes.
+// window scores, and (for periodic runs) trims the stitched region back to
+// its bounded size. The engine is told where the next run can start — the
+// next hop position, or the end of the stream for the flush run — so it
+// trims its token pipelines to there and keeps a member's grammar only
+// while that run could extend it.
 func (d *Detector) run(start int, trim bool) error {
-	res, err := d.eng.DetectSpan(d.ring, start, d.total, d.cfg.Seed+int64(d.runIdx)*engine.SeedStride)
+	next := d.total
+	if trim {
+		next = start + d.cfg.Hop
+	}
+	res, err := d.eng.DetectSpan(d.ring, start, d.total, next, d.cfg.Seed+int64(d.runIdx)*engine.SeedStride)
 	if err != nil && err != engine.ErrNoUsableCurves {
 		return fmt.Errorf("stream: run %d [%d,%d): %w", d.runIdx, start, d.total, err)
 	}
@@ -594,13 +601,6 @@ func (d *Detector) run(start int, trim bool) error {
 	d.finalizeScores(start)
 	if trim {
 		d.trimTo(start - d.cfg.Window + 1)
-		// No future span starts before the next hop position; the
-		// engine can drop older tokens. (The rebuild-each-run reference
-		// mode re-reads its epoch's full history every run, so trimming
-		// is suspended for it.)
-		if !d.cfg.rebuildEachRun {
-			d.eng.TrimBefore(start + d.cfg.Hop)
-		}
 	}
 	return nil
 }
