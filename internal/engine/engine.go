@@ -47,8 +47,9 @@
 // tokens would build. A member keeps its builder only while a span starting
 // at or after next could extend its epoch. Otherwise (at the default hop,
 // after every run) its task hands the builder and its fed positions to a
-// free list of at most Config.Parallelism entries, and the next rebasing
-// member takes its storage from there instead of allocating its own.
+// free list of at most Config.Parallelism entries, which keeps the largest
+// builders released, and the next rebasing member takes its storage from
+// there instead of allocating its own.
 // Curve combination then runs per span exactly as in
 // the batch detector: the survivors are read, never rewritten, by one pass
 // over the span's columns that normalizes each gathered value and takes
@@ -76,6 +77,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -276,28 +278,30 @@ type group struct {
 
 // memberState is one (w,a) member's resumable induction state, surviving
 // across spans like its discretization pipeline: the live grammar over the
-// epoch's tokens, the global window position of every token fed (aligned
-// with the builder's token indices — what maps rule occurrences back to
-// stream positions), and the epoch bookkeeping driving the rebase
-// schedule. The builder holds word ids of the member's pipeline
-// dictionary. It is nil, with no fed positions, while no later span can
+// epoch's tokens, the window position of every token fed as an offset from
+// the epoch base (aligned with the builder's token indices — what maps rule
+// occurrences back to stream positions), and the epoch bookkeeping driving
+// the rebase schedule. A rebase anchors the first fed position at the base,
+// so every offset is at least 0, and an epoch too long for int32 offsets is
+// an error. The builder holds the word ids of the member's pipeline. It is
+// nil, with no fed positions, while no later span can
 // extend the epoch: until the member's first rebase, and from the run after
 // which every span the caller can still ask for would rebase it (see
 // Engine.rebasesFrom). A rebase then takes a builder from the engine's free
 // list, or allocates one sized from the epoch's token count.
 type memberState struct {
 	b     *sequitur.Builder
-	pos   []int // global window start per fed token
-	base  int   // global window position the epoch is anchored at
-	fedTo int   // last global window index fed into the builder
-	runs  int   // spans participated in since the last rebase
+	pos   []int32 // window start per fed token, minus base
+	base  int     // global window position the epoch is anchored at
+	fedTo int     // last global window index fed into the builder
+	runs  int     // spans participated in since the last rebase
 }
 
 // spare is a released member's induction storage, kept warm on the
 // engine's free list for the next rebasing member.
 type spare struct {
 	b   *sequitur.Builder
-	pos []int
+	pos []int32
 }
 
 // Engine runs the ensemble pipeline over spans of one logical series. It
@@ -547,7 +551,7 @@ func (e *Engine) runMember(i int, p sax.Params, start, end, next int) {
 		e.errs[i] = err
 		return
 	}
-	curve, err := grammar.WindowedDensityInto(e.curves[i].Curve, st.b, st.pos, start, end, n)
+	curve, err := grammar.WindowedDensityInto(e.curves[i].Curve, st.b, st.pos, start-st.base, end-st.base, n)
 	if err != nil {
 		e.errs[i] = err
 		return
@@ -558,23 +562,43 @@ func (e *Engine) runMember(i int, p sax.Params, start, end, next int) {
 	}
 }
 
-// release hands a member's builder and fed positions to the free list, or
-// to the garbage collector once the list holds Config.Parallelism entries
-// (no more builders than that are ever being rebuilt at once), leaving the
-// member to rebase at its next run.
+// release hands a member's builder and fed positions to the free list,
+// which holds at most Config.Parallelism entries (no more builders than
+// that are ever being rebuilt at once), and leaves the member to rebase at
+// its next run. A full list keeps its largest builders: the released one
+// replaces the smallest entry if it is larger, and whichever is left out
+// goes to the garbage collector. Which members release first depends on
+// scheduling, so keeping the first ones would make what the engine holds,
+// and its footprint, vary from run to run; the largest are the same
+// whatever the order once every member of a run has released.
 func (e *Engine) release(st *memberState) {
-	e.spareMu.Lock()
-	if len(e.spares) < e.cfg.Parallelism {
-		e.spares = append(e.spares, spare{st.b, st.pos[:0]})
-	}
-	e.spareMu.Unlock()
+	sp := spare{st.b, st.pos[:0]}
 	st.b, st.pos = nil, nil
+	e.spareMu.Lock()
+	defer e.spareMu.Unlock()
+	if len(e.spares) < e.cfg.Parallelism {
+		e.spares = append(e.spares, sp)
+		return
+	}
+	least := 0
+	for i := range e.spares {
+		if spareBytes(e.spares[i]) < spareBytes(e.spares[least]) {
+			least = i
+		}
+	}
+	if spareBytes(sp) > spareBytes(e.spares[least]) {
+		e.spares[least] = sp
+	}
 }
+
+// spareBytes is a free-list entry's retained memory, as computeFootprint
+// counts it.
+func spareBytes(sp spare) int64 { return sp.b.MemoryBytes() + int64(cap(sp.pos))*4 }
 
 // takeSpare returns a reset builder and an empty fed-position record from
 // the free list, or a new builder presized for sizeHint tokens when the
 // list is empty.
-func (e *Engine) takeSpare(sizeHint int) (*sequitur.Builder, []int) {
+func (e *Engine) takeSpare(sizeHint int) (*sequitur.Builder, []int32) {
 	e.spareMu.Lock()
 	n := len(e.spares)
 	if n == 0 {
@@ -592,9 +616,10 @@ func (e *Engine) takeSpare(sizeHint int) (*sequitur.Builder, []int) {
 // rebuildInduction re-induces one member's grammar from scratch over the
 // windows [anchor, lastWin]: the builder is reset (storage stays warm) and
 // fed the pipeline's covering tokens for that range in place, with the
-// fed-position record rebuilt in global coordinates. The first covering
-// token may start before the anchor; it stands in for the run it was cut
-// out of, so it is re-anchored to the anchor itself.
+// fed-position record rebuilt as offsets from the anchor, which is the
+// epoch base. The first covering token may start before the anchor; it
+// stands in for the run it was cut out of, so it is re-anchored to the
+// anchor itself, offset 0.
 //
 // A rebase is the one moment the builder holds no ids of the pipeline's
 // dictionary, so it is also where the dictionary is compacted once it has
@@ -617,13 +642,13 @@ func (e *Engine) rebuildInduction(st *memberState, seq *sax.IncrementalSeq, anch
 		st.b.Reset()
 	}
 	if cap(st.pos) < len(toks) {
-		st.pos = make([]int, 0, len(toks))
+		st.pos = make([]int32, 0, len(toks))
 	}
-	st.pos = append(st.pos[:0], anchor)
+	st.pos = append(st.pos[:0], 0)
 	st.b.PushID(toks[0].ID)
 	for _, tk := range toks[1:] {
 		st.b.PushID(tk.ID)
-		st.pos = append(st.pos, tk.Pos)
+		st.pos = append(st.pos, int32(seq.Pos(tk)-anchor))
 	}
 	return nil
 }
@@ -656,6 +681,13 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, star
 	// over at least a span's worth of appends.
 	rebase := fresh || st.base > start || st.fedTo < seq.TrimmedTo()-1 || e.rebasesFrom(st, start) ||
 		e.cfg.RebaseEvery == 0 && lastWin+1-st.base > 2*spanW
+	base := st.base
+	if rebase {
+		base = start
+	}
+	if lastWin-base > math.MaxInt32 {
+		return fmt.Errorf("engine: member %v: an epoch from window %d cannot reach window %d with int32 positions", seq.Params(), base, lastWin)
+	}
 	if rebase {
 		if err := e.rebuildInduction(st, seq, start, lastWin); err != nil {
 			return err
@@ -685,7 +717,7 @@ func (e *Engine) advanceInduction(st *memberState, seq *sax.IncrementalSeq, star
 				continue
 			}
 			st.b.PushID(tk.ID)
-			st.pos = append(st.pos, tk.Pos)
+			st.pos = append(st.pos, int32(seq.Pos(tk)-st.base))
 			last = tk.ID
 		}
 	}
@@ -806,10 +838,10 @@ func (e *Engine) computeFootprint() int64 {
 		if st.b != nil {
 			total += st.b.MemoryBytes()
 		}
-		total += int64(cap(st.pos)) * 8
+		total += int64(cap(st.pos)) * 4
 	}
 	for _, sp := range e.spares {
-		total += sp.b.MemoryBytes() + int64(cap(sp.pos))*8
+		total += spareBytes(sp)
 	}
 	const stringHeader, memberCurveSize = 16, 48
 	const spareSize = 32 // builder pointer + position slice header
@@ -890,9 +922,12 @@ func (e *Engine) State() State {
 			Base:   ms.base,
 			FedTo:  ms.fedTo,
 			Runs:   ms.runs,
-			Pos:    append([]int(nil), ms.pos...),
 		}
 		if ms.b != nil {
+			is.Pos = make([]int, len(ms.pos))
+			for i, off := range ms.pos {
+				is.Pos[i] = ms.base + int(off)
+			}
 			ids = ms.b.AppendIDs(ids[:0])
 			is.Words = e.pipes[p].Words(ids)
 		}
@@ -920,7 +955,11 @@ func (e *Engine) RestoreState(src Source, st State) error {
 		if err := checkWords(ps.Seq.Params, ps.Seq.Tokens, ps.Seq.Prev); err != nil {
 			return err
 		}
-		e.pipes[ps.Params] = sax.RestoreSeq(ps.Seq)
+		seq, err := sax.RestoreSeq(ps.Seq)
+		if err != nil {
+			return err
+		}
+		e.pipes[ps.Params] = seq
 	}
 	for _, is := range st.Induct {
 		if len(is.Pos) != len(is.Words) {
@@ -936,12 +975,18 @@ func (e *Engine) RestoreState(src Source, st State) error {
 			}
 		}
 		ms := &memberState{
-			pos:   append([]int(nil), is.Pos...),
 			base:  is.Base,
 			fedTo: is.FedTo,
 			runs:  is.Runs,
 		}
 		if len(is.Words) > 0 {
+			ms.pos = make([]int32, len(is.Pos))
+			for i, p := range is.Pos {
+				if p < is.Base || p-is.Base > math.MaxInt32 {
+					return fmt.Errorf("engine: induction state %v: position %d outside its epoch from %d", is.Params, p, is.Base)
+				}
+				ms.pos[i] = int32(p - is.Base)
+			}
 			ms.b = sequitur.NewBuilderSize(len(is.Words))
 			for _, w := range is.Words {
 				ms.b.PushID(seq.Intern(w))

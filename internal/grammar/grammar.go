@@ -116,11 +116,11 @@ type Result struct {
 // sliding window n — over the whole series exactly as the detection engine
 // runs it: a fresh pipeline through the shared sax.Encoder, its word ids
 // fed to a sequitur.Builder, and the grammar frozen with its terminals
-// rendered from the pipeline's dictionary. It returns the grammar and the
-// window start position of each of its input tokens. Dictionary ids come
-// in first-occurrence order, so the grammar is the one Sequitur induces
-// from the token words. The resolver mr must cover p.A; pass nil to have
-// one built on the fly.
+// renumbered in first-occurrence order and rendered through the pipeline.
+// It returns the grammar and the window start position of each of its
+// input tokens. Sequitur compares ids only for equality, so the grammar is
+// the one Sequitur induces from the token words. The resolver mr must
+// cover p.A; pass nil to have one built on the fly.
 func InduceMember(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolver) (*sequitur.Grammar, []int, error) {
 	b, seq, pos, err := induceLive(f, n, p, mr)
 	if err != nil {
@@ -130,9 +130,23 @@ func InduceMember(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiReso
 	if err != nil {
 		return nil, nil, err
 	}
-	ids := make([]int32, seq.VocabLen())
-	for i := range ids {
-		ids[i] = int32(i)
+	// Terminals carry the pipeline's word ids, which for most (w, a) are
+	// the words' radix values; renumber them densely in order of first
+	// occurrence, so Words lists each distinct word once, in token order.
+	dense := make(map[int32]int)
+	var ids []int32
+	for _, id := range b.AppendIDs(nil) {
+		if _, ok := dense[id]; !ok {
+			dense[id] = len(ids)
+			ids = append(ids, id)
+		}
+	}
+	for _, r := range g.Rules {
+		for i, sym := range r.RHS {
+			if !sym.IsRule() {
+				r.RHS[i].Term = dense[int32(sym.Term)]
+			}
+		}
 	}
 	g.Words = seq.Words(ids)
 	return g, pos, nil
@@ -171,7 +185,7 @@ func induceLive(f *timeseries.Features, n int, p sax.Params, mr *sax.MultiResolv
 	pos := make([]int, len(toks))
 	for i, tk := range toks {
 		b.PushID(tk.ID)
-		pos[i] = tk.Pos
+		pos[i] = seq.Pos(tk)
 	}
 	return b, seq, pos, nil
 }

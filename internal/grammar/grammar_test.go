@@ -89,7 +89,7 @@ func TestDensityCurveNonNegativeAndErrors(t *testing.T) {
 			t.Fatalf("curve[%d] = %v < 0", i, v)
 		}
 	}
-	if _, err := WindowedDensityInto(nil, g, nil, 0, 10, 3); err == nil {
+	if _, err := WindowedDensityInto(nil, g, []int(nil), 0, 10, 3); err == nil {
 		t.Error("empty tokens should error")
 	}
 	if _, err := WindowedDensityInto(nil, g, pos, 0, 10, 0); err == nil {

@@ -23,9 +23,10 @@ type RuleVisitor interface {
 
 // WindowedDensityInto computes the rule density curve over the live stream
 // span [start, end) from a grammar induced over a retained token history
-// that may extend earlier than start. pos[i] is the global window-start
-// position of token i of that history (ascending); n is the sliding window
-// length. Each rule occurrence covering tokens [s, e) contributes one unit
+// that may extend earlier than start. pos[i] is the window-start position
+// of token i of that history (ascending), in the coordinates of start and
+// end: global positions, or offsets from any common base, which the
+// engine's 4-byte position records use; n is the sliding window length. Each rule occurrence covering tokens [s, e) contributes one unit
 // of density over the global range [pos[s], pos[e-1]+n) clipped to
 // [start, end); occurrences whose range ends at or before start are
 // excluded by visitation cutoff without being walked. The returned curve is
@@ -40,7 +41,7 @@ type RuleVisitor interface {
 // needed and returned re-sliced to end-start; pass a retained slice to
 // amortize the allocation across runs. dst's previous contents are
 // discarded.
-func WindowedDensityInto(dst []float64, v RuleVisitor, pos []int, start, end, n int) ([]float64, error) {
+func WindowedDensityInto[P int | int32](dst []float64, v RuleVisitor, pos []P, start, end, n int) ([]float64, error) {
 	if len(pos) == 0 {
 		return nil, ErrNoTokens
 	}
@@ -58,7 +59,7 @@ func WindowedDensityInto(dst []float64, v RuleVisitor, pos []int, start, end, n 
 	// Tokens whose window range [pos[i], pos[i]+n) ends at or before the
 	// span start can never contribute; occurrences ending at or before the
 	// last such token are pruned inside the visitation.
-	cutoff := sort.Search(len(pos), func(i int) bool { return pos[i]+n > start })
+	cutoff := sort.Search(len(pos), func(i int) bool { return int(pos[i])+n > start })
 	var visitErr error
 	v.VisitOccurrencesAfter(cutoff, func(rule, s, e int) {
 		if visitErr != nil {
@@ -68,11 +69,11 @@ func WindowedDensityInto(dst []float64, v RuleVisitor, pos []int, start, end, n 
 			visitErr = fmt.Errorf("%w: rule R%d tokens [%d,%d) of %d", ErrBadSpan, rule, s, e, len(pos))
 			return
 		}
-		lo := pos[s] - start
+		lo := int(pos[s]) - start
 		if lo < 0 {
 			lo = 0
 		}
-		hi := pos[e-1] + n - start
+		hi := int(pos[e-1]) + n - start
 		if hi > spanLen {
 			hi = spanLen
 		}

@@ -113,7 +113,7 @@ func TestWindowedDensityRestrictsToSpan(t *testing.T) {
 // rejected.
 func TestWindowedDensityValidation(t *testing.T) {
 	b := sequitur.NewBuilder()
-	if _, err := WindowedDensityInto(nil, b, nil, 0, 100, 10); err == nil {
+	if _, err := WindowedDensityInto(nil, b, []int(nil), 0, 100, 10); err == nil {
 		t.Error("empty history should error")
 	}
 	b.Push("ab")

@@ -182,7 +182,7 @@ func spanTokens(dst []Token, seq *IncrementalSeq, startWin, endWin int) ([]Token
 	words := seq.Words(ids)
 	dst = append(dst, Token{Word: words[0], Pos: 0})
 	for i, t := range toks[1:] {
-		dst = append(dst, Token{Word: words[i+1], Pos: t.Pos - startWin})
+		dst = append(dst, Token{Word: words[i+1], Pos: seq.Pos(t) - startWin})
 	}
 	return dst, nil
 }
@@ -235,7 +235,7 @@ func TestIncrementalSeqReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 1 || seq.Words([]int32{toks[0].ID})[0] != "ba" || toks[0].Pos != 10 {
+	if len(toks) != 1 || seq.Words([]int32{toks[0].ID})[0] != "ba" || seq.Pos(toks[0]) != 10 {
 		t.Fatalf("covering tokens %v", toks)
 	}
 	// Asking for a span the sequence does not cover errors.
@@ -250,10 +250,12 @@ func TestIncrementalSeqReset(t *testing.T) {
 // TestIncrementalSeqCompact: compaction keeps every retained token's word
 // and the run head, drops the words only trimmed tokens used, and leaves a
 // pipeline that keeps numerosity-reducing correctly — for packed-code and
-// string-keyed dictionaries alike.
+// string-keyed dictionaries alike. Only pipelines whose words do not fit
+// an int32 radix value keep a dictionary: (10,10) on the paper grid, and
+// every w above MaxPackedW.
 func TestIncrementalSeqCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, p := range []Params{{W: 3, A: 4}, {W: 13, A: 3}} {
+	for _, p := range []Params{{W: 10, A: 10}, {W: 13, A: 3}} {
 		seq := NewIncrementalSeq(p, 0)
 		word := make([]byte, p.W)
 		draw := func() {

@@ -1,21 +1,33 @@
 package sax
 
-import "egi/internal/idmap"
+import (
+	"math"
 
-// MaxPackedW is the longest word a pipeline's dictionary keys by its packed
-// code: 12 symbols of 5 bits fill 60 of a uint64's bits. Every word of the
-// paper's parameter grid (WMax = 10) is packed.
+	"egi/internal/idmap"
+)
+
+// MaxPackedW is the longest word a pipeline handles as a packed code: 12
+// symbols of 5 bits fill 60 of a uint64's bits. Every word of the paper's
+// parameter grid (WMax = 10) is packed. A packed word whose alphabet size a
+// keeps a^w within 2^31 needs no dictionary at all: its id is its radix-a
+// value (see wordDict).
 const MaxPackedW = 12
 
-// wordDict is one pipeline's dictionary: word to dense int32 id and back.
-// All words of a pipeline have the same length w and symbols 'a'..'z'. A
-// dictionary for w <= MaxPackedW keys each word by its packed code in a
-// flat open-addressing table (internal/idmap, shared with Sequitur's
-// digram index), so a lookup hashes one integer and probes a slot array
-// without following a pointer, and it stores no strings at all; longer
-// words fall back to a string-keyed map.
+// wordDict is one pipeline's word numbering: word to int32 id and back. All
+// words of a pipeline have the same length w and symbols 'a'..'z'. Three
+// kinds share the type, chosen by the pipeline's parameters:
+//
+//   - direct (w <= MaxPackedW and a^w <= 2^31, 79 of the paper grid's 81
+//     members): a word's id is its radix-a value, first symbol most
+//     significant, 'a' = 0. Computing it needs no table, so the
+//     dictionary holds nothing and ids never change.
+//   - packed (w <= MaxPackedW otherwise): a word is keyed by its packed
+//     code in a flat open-addressing table (internal/idmap, shared with
+//     Sequitur's digram index), and ids are dense in order of first use.
+//   - longer words fall back to a string-keyed map, ids dense likewise.
 type wordDict struct {
-	w      int
+	w, a   int
+	direct bool
 	byCode idmap.Map        // packed words
 	codes  []uint64         // id -> code, packed words
 	byWord map[string]int32 // longer words
@@ -23,11 +35,27 @@ type wordDict struct {
 	bytes  int64            // total len over words, longer words
 }
 
-func newWordDict(w int) wordDict {
-	if w <= MaxPackedW {
-		return wordDict{w: w}
+// isDirect reports whether words of p's parameters take their radix value
+// as id: w <= MaxPackedW and a^w <= 2^31, so every value fits an int32.
+func isDirect(p Params) bool {
+	if p.W > MaxPackedW {
+		return false
 	}
-	return wordDict{w: w, byWord: make(map[string]int32)}
+	v := 1
+	for i := 0; i < p.W; i++ {
+		v *= p.A
+	}
+	return v <= math.MaxInt32+1
+}
+
+func newWordDict(p Params) wordDict {
+	switch {
+	case isDirect(p):
+		return wordDict{w: p.W, a: p.A, direct: true}
+	case p.W <= MaxPackedW:
+		return wordDict{w: p.W, a: p.A}
+	}
+	return wordDict{w: p.W, a: p.A, byWord: make(map[string]int32)}
 }
 
 func (d *wordDict) packed() bool { return d.w <= MaxPackedW }
@@ -42,6 +70,8 @@ func pack(word []byte) uint64 {
 	return code
 }
 
+// len returns the number of words the dictionary stores: 0 for a direct
+// one, which stores none.
 func (d *wordDict) len() int {
 	if d.packed() {
 		return len(d.codes)
@@ -52,6 +82,13 @@ func (d *wordDict) len() int {
 // idOfCode returns the id of the packed word code, adding it if it is new.
 // It never allocates in steady state.
 func (d *wordDict) idOfCode(code uint64) int32 {
+	if d.direct {
+		a, v := uint64(d.a), uint64(0)
+		for shift := 5 * (d.w - 1); shift >= 0; shift -= 5 {
+			v = v*a + (code>>shift)&31 - 1
+		}
+		return int32(v)
+	}
 	id, ok := d.byCode.GetOrPut(code, int32(len(d.codes)))
 	if !ok {
 		d.codes = append(d.codes, code)
@@ -79,13 +116,25 @@ func (d *wordDict) addWord(word string) int32 {
 	return id
 }
 
+// code returns the packed code of id's word.
+func (d *wordDict) code(id int32) uint64 {
+	if !d.direct {
+		return d.codes[id]
+	}
+	var code uint64
+	for i, v := 0, uint64(id); i < d.w; i, v = i+1, v/uint64(d.a) {
+		code |= (v%uint64(d.a) + 1) << (5 * i)
+	}
+	return code
+}
+
 // word renders id back into its word.
 func (d *wordDict) word(id int32) string {
 	if !d.packed() {
 		return d.words[id]
 	}
 	b := make([]byte, d.w)
-	for i, code := d.w-1, d.codes[id]; i >= 0; i, code = i-1, code>>5 {
+	for i, code := d.w-1, d.code(id); i >= 0; i, code = i-1, code>>5 {
 		b[i] = byte(code&31) + 'a' - 1
 	}
 	return string(b)
@@ -96,7 +145,7 @@ func (d *wordDict) word(id int32) string {
 func (d *wordDict) emptied() wordDict {
 	d.byCode.Clear()
 	clear(d.byWord)
-	return wordDict{w: d.w, byCode: d.byCode, byWord: d.byWord}
+	return wordDict{w: d.w, a: d.a, byCode: d.byCode, byWord: d.byWord}
 }
 
 // copyFrom adds old's word id to d and returns its id in d.
@@ -112,9 +161,10 @@ func (d *wordDict) copyFrom(old *wordDict, id int32) int32 {
 // word bytes.
 const wordEntrySize = 48
 
-// memoryBytes is the dictionary's retained-memory accounting: for packed
-// words the code table's slots and the id slice at capacity, for longer
-// words the per-entry estimate plus the word bytes. O(1).
+// memoryBytes is the dictionary's retained-memory accounting: nothing for
+// a direct dictionary, for packed words the code table's slots and the id
+// slice at capacity, for longer words the per-entry estimate plus the word
+// bytes. O(1).
 func (d *wordDict) memoryBytes() int64 {
 	if d.packed() {
 		return d.byCode.MemoryBytes() + int64(cap(d.codes))*8

@@ -121,8 +121,10 @@ func (e *Encoder) MemoryBytes() int64 {
 // Encode appends to each pipeline every window from its NextWin up to
 // lastWin. Every pipeline must have the encoder's PAA size and valid
 // parameters for its window length, with an alphabet the resolver covers,
-// and the windows must lie in the source's retained range; otherwise
-// Encode appends nothing and returns an error.
+// the windows must lie in the source's retained range, and lastWin must
+// be within 2^31 windows of the pipeline's oldest retained token (token
+// offsets are int32); otherwise Encode appends nothing and returns an
+// error.
 func (e *Encoder) Encode(src WindowSource, pipes []*IncrementalSeq, lastWin int) error {
 	n, w := e.n, len(e.coeffs)
 	if lastWin < src.First() || lastWin+n > src.End() {
@@ -142,6 +144,9 @@ func (e *Encoder) Encode(src WindowSource, pipes []*IncrementalSeq, lastWin int)
 		}
 		if s.NextWin() < src.First() {
 			return fmt.Errorf("%w: pipeline %v resumes at window %d, retained from %d", ErrBadWindow, p, s.NextWin(), src.First())
+		}
+		if err := s.reach(lastWin); err != nil {
+			return err
 		}
 		if s.NextWin() <= lastWin {
 			// Insertion sort by next window: groups hold a handful of members.

@@ -10,6 +10,11 @@
 // Conventions:
 //
 //   - A SAX word is a string of w bytes; symbol i is 'a'+i.
+//   - Inside a pipeline a word is an int32 id. Where a^w <= 2^31 (w up to
+//     MaxPackedW) the id is the word's radix-a value, symbol i its digit i
+//     and the first symbol most significant; elsewhere a per-pipeline
+//     dictionary numbers the words. A token's position is an int32 offset
+//     from the pipeline's base (IncrementalSeq.Pos).
 //   - Breakpoint regions are (-inf, b1), [b1, b2), ..., [b_{a-1}, +inf):
 //     a coefficient equal to a breakpoint belongs to the region above it,
 //     and "equal" is taken with tolerance BoundaryTol so that the two

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"egi/internal/gen"
 )
 
 // TestMemoryFootprintPlateaus: under sustained pushing the detector's
@@ -243,5 +245,46 @@ func TestMemoryFootprintPlateausHighEntropy(t *testing.T) {
 	}
 	if n := violations.Load(); n > 0 {
 		t.Fatalf("%d rebases left an uncompacted dictionary, first: %s", n, worst.Load())
+	}
+}
+
+// TestStreamFootprintBudget pins what a serving-sized stream holds: a
+// Window 100, BufLen 1000 detector over an ECG-like series, at the default
+// hop (every span rebases, no member keeps a grammar) and at hop 100
+// (members keep their grammars between runs). From the tenth run on, its
+// footprint must stay within 15% of the value measured when the budget
+// was set, so a change that makes member state bigger again shows here.
+func TestStreamFootprintBudget(t *testing.T) {
+	series, err := gen.ECG(14000, 150, 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		hop      int
+		measured int64 // bytes, the peak from the tenth run on
+	}{
+		{0, 1_034_004},
+		{100, 3_914_700},
+	} {
+		d, err := New(Config{Window: 100, BufLen: 1000, Hop: tc.hop, Seed: 3, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var peak int64
+		for _, x := range series {
+			if err := d.Push(x); err != nil {
+				t.Fatal(err)
+			}
+			if d.Runs() >= 10 {
+				peak = max(peak, d.MemoryFootprint())
+			}
+		}
+		t.Logf("hop %d: %d runs, peak footprint %d bytes from the tenth run on", tc.hop, d.Runs(), peak)
+		if d.Runs() < 10 {
+			t.Fatalf("hop %d: only %d runs", tc.hop, d.Runs())
+		}
+		if budget := tc.measured + tc.measured*15/100; peak > budget {
+			t.Errorf("hop %d: footprint peaked at %d bytes, budget %d (measured %d + 15%%)", tc.hop, peak, budget, tc.measured)
+		}
 	}
 }
